@@ -1,8 +1,10 @@
 """Observability overhead guard (marker ``perf_smoke``) -> ``BENCH_obs.json``.
 
 The :mod:`repro.obs` instrumentation wired through ``Trainer.fit`` and
-``OnlinePredictor.run`` must stay cheap enough to leave enabled in
-production: this test runs each workload twice in lockstep — one
+the serving core — ``OnlinePredictor.process`` (a one-stream fleet) and
+a 64-stream ``FleetPredictor.process_tick`` — must stay cheap enough to
+leave enabled in production: this test runs each workload twice in
+lockstep — one
 instrumented worker, one with observability disabled, alternating every
 few milliseconds of work — and asserts the instrumented side stays
 within 10% of the plain side.
@@ -37,14 +39,21 @@ from repro import obs
 from repro.nn.layers import Linear, Sequential, Tanh
 from repro.nn.losses import MSELoss
 from repro.nn.optim import Adam
+from repro.experiments.fleet import make_fleet_streams
 from repro.obs.registry import MetricRegistry
-from repro.streaming import OnlinePredictor, PageHinkley
+from repro.streaming import FleetPredictor, OnlinePredictor, PageHinkley
 from repro.training.trainer import Trainer
 
 #: instrumented CPU time may exceed uninstrumented by at most this factor
 MAX_OVERHEAD_RATIO = 1.10
 #: full interleaved passes per workload; the min ratio is reported
 PASSES = 3
+#: streams in the fleet-path workload
+FLEET_STREAMS = 64
+#: serving config shared by the one-stream and the fleet workloads
+SERVE_KW = dict(
+    window=12, buffer_capacity=200, refit_interval=100, min_fit_size=60,
+)
 
 
 def _interleaved_cpu_ratio(make_worker, chunks):
@@ -77,14 +86,26 @@ def _interleaved_cpu_ratio(make_worker, chunks):
 
 def _make_serve_worker():
     predictor = OnlinePredictor(
-        "holt", window=12, buffer_capacity=200, refit_interval=100, min_fit_size=60,
-        detector=PageHinkley(threshold=0.25, min_instances=30),
-        registry=MetricRegistry(),
+        "holt", detector=PageHinkley(threshold=0.25, min_instances=30),
+        registry=MetricRegistry(), **SERVE_KW,
     )
 
     def step(rows):
         for row in rows:
             predictor.process(row)
+
+    return step
+
+
+def _make_fleet_worker():
+    fleet = FleetPredictor(
+        FLEET_STREAMS, "holt", detector=PageHinkley(threshold=0.25, min_instances=30),
+        registry=MetricRegistry(), **SERVE_KW,
+    )
+
+    def step(ticks):
+        for tick in ticks:
+            fleet.process_tick(tick)
 
     return step
 
@@ -107,7 +128,7 @@ def _make_train_worker():
 
 @pytest.mark.perf_smoke
 def test_perf_smoke_obs_overhead():
-    """Instrumented Trainer.fit / OnlinePredictor.run within 10% of plain."""
+    """Instrumented Trainer.fit / one-stream / 64-stream serving within 10% of plain."""
     from repro.traces import ClusterTraceGenerator, TraceConfig
 
     gen = ClusterTraceGenerator(TraceConfig(n_steps=1200, seed=0))
@@ -115,11 +136,18 @@ def test_perf_smoke_obs_overhead():
     stream = stream[:, None]
     record_chunks = [stream[i : i + 50] for i in range(0, len(stream), 50)]
 
+    fleet_ticks = make_fleet_streams(FLEET_STREAMS, 1200, seed=0, nan_rate=0.01)
+    tick_chunks = [fleet_ticks[i : i + 50] for i in range(0, len(fleet_ticks), 50)]
+
     _make_serve_worker()(stream[:200])  # warm caches and lazy imports
+    _make_fleet_worker()(fleet_ticks[:200])
     _make_train_worker()(0)
 
     serve_ratio, serve_on, serve_off = _interleaved_cpu_ratio(
         _make_serve_worker, record_chunks
+    )
+    fleet_ratio, fleet_on, fleet_off = _interleaved_cpu_ratio(
+        _make_fleet_worker, tick_chunks
     )
     train_ratio, train_on, train_off = _interleaved_cpu_ratio(
         _make_train_worker, range(12)
@@ -128,7 +156,8 @@ def test_perf_smoke_obs_overhead():
     snapshot = {
         "workloads": {
             "trainer_fit": "Linear(16,64)+Tanh+Linear(64,1), Adam, 512x16, 12 epochs, batch 64",
-            "online_serving": "holt predictor, 1200-step mutation stream",
+            "online_serving": "holt OnlinePredictor (one-stream fleet), 1200-step mutation stream",
+            "fleet_serving": f"holt FleetPredictor({FLEET_STREAMS}), 1200 ticks, 1% NaN",
         },
         "method": f"chunk-interleaved instrumented/plain workers, CPU time, min of {PASSES} passes",
         "cpu_seconds": {
@@ -136,10 +165,13 @@ def test_perf_smoke_obs_overhead():
             "trainer_fit_plain": round(train_off, 6),
             "online_serving_instrumented": round(serve_on, 6),
             "online_serving_plain": round(serve_off, 6),
+            "fleet_serving_instrumented": round(fleet_on, 6),
+            "fleet_serving_plain": round(fleet_off, 6),
         },
         "overhead_ratio": {
             "trainer_fit": round(train_ratio, 4),
             "online_serving": round(serve_ratio, 4),
+            "fleet_serving": round(fleet_ratio, 4),
         },
         "max_allowed_ratio": MAX_OVERHEAD_RATIO,
     }
@@ -159,4 +191,8 @@ def test_perf_smoke_obs_overhead():
     assert serve_ratio <= MAX_OVERHEAD_RATIO, (
         f"serving instrumentation overhead {serve_ratio:.3f}x exceeds "
         f"{MAX_OVERHEAD_RATIO}x ({serve_on * 1e3:.1f}ms vs {serve_off * 1e3:.1f}ms CPU)"
+    )
+    assert fleet_ratio <= MAX_OVERHEAD_RATIO, (
+        f"fleet serving instrumentation overhead {fleet_ratio:.3f}x exceeds "
+        f"{MAX_OVERHEAD_RATIO}x ({fleet_on * 1e3:.1f}ms vs {fleet_off * 1e3:.1f}ms CPU)"
     )

@@ -86,15 +86,16 @@ def main() -> None:
     print("\nserved predictions (gaps = warmup/quarantine):")
     print(render_ascii_series(preds[~np.isnan(preds)], label="predicted"))
 
+    # the predictor is a one-stream fleet: per-stream stats are (1,) arrays
     stats, gate = restored.stats, restored.gate
     rows = [
         ["records emitted (after faults)", len(results)],
-        ["predictions served", stats.n_predictions],
-        ["online (prequential) MAE", f"{stats.mae:.4f}"],
+        ["predictions served", int(stats.n_predictions[0])],
+        ["online (prequential) MAE", f"{stats.mae[0]:.4f}"],
         ["refits / refit failures", f"{stats.n_refits} / {stats.n_refit_failures}"],
         ["drift events", str(drifts)],
-        ["quarantined / imputed records", f"{gate.n_quarantined} / {gate.n_imputed}"],
-        ["quarantine reasons", dict(gate.reasons)],
+        ["quarantined / imputed records", f"{gate.n_quarantined[0]} / {gate.n_imputed[0]}"],
+        ["quarantine reasons", dict(gate.reasons(0))],
         ["injected faults", injector.counts],
         ["final health", restored.health.value],
         ["throughput", f"{len(results) / elapsed:,.0f} records/s"],

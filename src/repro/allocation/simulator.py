@@ -4,12 +4,8 @@ Replays a test split of utilization windows against an allocation policy
 and scores the outcome on the two failure modes the paper's §I names:
 "idle resources due to over-allocation of resources and degraded
 workloads performance due to under-allocation of resources".
-
-.. deprecated:: the excess/slack arithmetic formerly hand-rolled here
-   now lives in :func:`repro.cluster.replay.excess_stats`, shared with
-   the scheduling replay and the closed-loop cluster simulator. This
-   module remains the public entry point for open-loop allocation
-   replay; new harnesses should build on the cluster primitives.
+The excess/slack arithmetic is :func:`repro.cluster.replay.excess_stats`,
+shared with the scheduling replay and the closed-loop cluster simulator.
 """
 
 from __future__ import annotations
@@ -18,17 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.replay import EXCESS_EPS, ExcessStats, excess_stats
+from ..cluster.replay import excess_stats
 from .allocator import Allocator
 
-__all__ = [
-    "AllocationReport",
-    "simulate_allocation",
-    # re-exported shared primitives (historically defined here)
-    "EXCESS_EPS",
-    "ExcessStats",
-    "excess_stats",
-]
+__all__ = ["AllocationReport", "simulate_allocation"]
 
 
 @dataclass(frozen=True)

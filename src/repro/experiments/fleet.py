@@ -1,21 +1,21 @@
-"""Fleet serving throughput: micro-batched vs N scalar predictors.
+"""Fleet serving throughput: one N-stream fleet vs N one-stream predictors.
 
 The paper's deployment target is a cluster sampled on one clock —
 thousands of per-container streams all due a forecast at the same tick.
 This harness measures what that costs both ways:
 
-* **scalar** — one :class:`~repro.streaming.online.OnlinePredictor` per
-  stream, the per-record Python loop repeated N times per tick;
+* **scalar** — one :class:`~repro.streaming.online.OnlinePredictor` (a
+  one-stream fleet fed record by record) per stream, the per-tick
+  serving loop repeated N times per tick;
 * **fleet** — one :class:`~repro.streaming.fleet.FleetPredictor`
   multiplexing all N streams: vectorized gate, matrix ring buffer, one
   micro-batched model forward per tick, coalesced staggered refits.
 
 Both sides serve the same synthetic fleet trace (per-stream diurnal
 phase/level/noise plus a sprinkle of NaN faults), so records/sec is an
-apples-to-apples number. At ``n_streams=1`` the two implementations are
-bit-identical by construction; the harness verifies that too
-(``parity_n1``) so the throughput table can't drift away from
-correctness.
+apples-to-apples number. At ``n_streams=1`` the two are bit-identical
+by construction; the harness verifies that too (``parity_n1``) so the
+throughput table can't drift away from correctness.
 """
 
 from __future__ import annotations

@@ -136,10 +136,10 @@ def run_resilience(
                 availability=len(served) / post_warmup,
                 n_emitted=len(records),
                 n_served=len(served),
-                n_quarantined=predictor.gate.n_quarantined,
-                n_imputed=predictor.gate.n_imputed,
+                n_quarantined=int(predictor.gate.n_quarantined[0]),
+                n_imputed=int(predictor.gate.n_imputed[0]),
                 n_refit_failures=predictor.stats.n_refit_failures,
-                n_fallback_predictions=predictor.stats.n_fallback_predictions,
+                n_fallback_predictions=int(predictor.stats.n_fallback_predictions[0]),
                 injected=dict(injector.counts),
             )
         )

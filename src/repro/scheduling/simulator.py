@@ -3,13 +3,9 @@
 For each time step, each machine's load is the sum of its hosted jobs'
 actual usage. The report scores the trade-off the paper's §II describes:
 fewer machines (higher utilization) versus overload intervals where
-co-located demand exceeds capacity (the interference/QoS risk).
-
-.. deprecated:: the overload/utilization arithmetic formerly hand-rolled
-   here now lives in :func:`repro.cluster.replay.excess_stats`, shared
-   with the allocation replay and the closed-loop cluster simulator.
-   This module remains the public entry point for open-loop placement
-   replay; new harnesses should build on the cluster primitives.
+co-located demand exceeds capacity (the interference/QoS risk). The
+overload/utilization arithmetic is :func:`repro.cluster.replay.excess_stats`,
+shared with the allocation replay and the closed-loop cluster simulator.
 """
 
 from __future__ import annotations
@@ -18,18 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.replay import EXCESS_EPS, ExcessStats, excess_stats
+from ..cluster.replay import excess_stats
 from .jobs import Job
 from .scheduler import Scheduler
 
-__all__ = [
-    "ScheduleReport",
-    "simulate_schedule",
-    # re-exported shared primitives (historically defined here)
-    "EXCESS_EPS",
-    "ExcessStats",
-    "excess_stats",
-]
+__all__ = ["ScheduleReport", "simulate_schedule"]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Online (real-time) resource prediction.
 
 The paper's §V-C closes with applying the model "to the real-time
-resource usage prediction". This subpackage provides that serving layer:
-a ring buffer over incoming monitoring records, concept-drift detection
-(Page-Hinkley), and an :class:`OnlinePredictor` that serves one-step
-predictions while refitting its forecaster periodically or on drift,
-scoring itself prequentially (test-then-train).
+resource usage prediction". This subpackage provides that serving layer.
+Its one core is :class:`FleetPredictor`: N streams sampled on one
+clock, a matrix ring buffer over their monitoring records,
+concept-drift detection (Page-Hinkley), and one-step predictions from a
+shared forecaster refitted periodically or on drift, scored
+prequentially (test-then-train). :class:`OnlinePredictor` is the same
+core for one stream, fed record by record.
 
 The serving loop is fault-tolerant: an input gate quarantines or
 repairs corrupt records, refits run supervised with retry/backoff and a
@@ -19,7 +21,7 @@ breaker — driven reproducibly by a :class:`ChaosSchedule` of scheduled
 process faults.
 """
 
-from .buffer import MatrixRingBuffer, RollingBuffer
+from .buffer import MatrixRingBuffer
 from .checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -34,16 +36,14 @@ from .faults import (
     InjectedFault,
     ProcessFault,
 )
-from .fleet import FleetPredictor, FleetTick
-from .online import OnlinePredictor, PredictionRecord
+from .fleet import FleetPredictor, FleetTick, PredictionRecord
+from .online import OnlinePredictor
 from .refit import AsyncRefitEngine, ModelSlot, RefitOutcome, RefitTask
 from .resilience import (
     FleetGate,
     FleetGateResult,
     GatePolicy,
-    GateResult,
     HealthStatus,
-    InputGate,
     Supervisor,
     SupervisorPolicy,
 )
@@ -63,7 +63,6 @@ from .shm import (
 )
 
 __all__ = [
-    "RollingBuffer",
     "MatrixRingBuffer",
     "FleetPredictor",
     "FleetTick",
@@ -89,8 +88,6 @@ __all__ = [
     "PredictionRecord",
     "HealthStatus",
     "GatePolicy",
-    "GateResult",
-    "InputGate",
     "Supervisor",
     "SupervisorPolicy",
     "FaultConfig",

@@ -1,144 +1,27 @@
 """Fixed-capacity ring buffers over multivariate monitoring records.
 
-:class:`RollingBuffer` holds one stream's history; :class:`MatrixRingBuffer`
-holds a whole fleet of independent ring buffers in a single
-``(streams, capacity, features)`` array so that a tick's worth of
-records — one per stream — appends in O(1) vectorized work, and the
-most recent windows of many streams gather into one ``(B, window,
-features)`` batch for a micro-batched model forward.
+:class:`MatrixRingBuffer` holds a whole fleet of independent ring
+buffers in a single ``(streams, capacity, features)`` array so that a
+tick's worth of records — one per stream — appends in O(1) vectorized
+work, and the most recent windows of many streams gather into one
+``(B, window, features)`` batch for a micro-batched model forward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RollingBuffer", "MatrixRingBuffer"]
-
-
-class RollingBuffer:
-    """Ring buffer of ``(features,)`` records with O(1) append.
-
-    Backed by a preallocated ``(capacity, features)`` array; ``view()``
-    materializes the chronologically ordered contents (one copy — the
-    price of presenting a contiguous array to the window builders).
-    """
-
-    def __init__(self, capacity: int, features: int) -> None:
-        if capacity < 1 or features < 1:
-            raise ValueError(f"capacity and features must be >= 1, got {capacity}, {features}")
-        self.capacity = capacity
-        self.features = features
-        self._data = np.empty((capacity, features))
-        self._head = 0  # next write position
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def full(self) -> bool:
-        return self._size == self.capacity
-
-    def append(self, record: np.ndarray) -> None:
-        record = np.asarray(record, float)
-        if record.shape != (self.features,):
-            raise ValueError(f"expected shape ({self.features},), got {record.shape}")
-        self._data[self._head] = record
-        self._head = (self._head + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-
-    def extend(self, records: np.ndarray) -> None:
-        """Append ``(k, features)`` rows with at most two slice copies.
-
-        Exactly equivalent to appending each row in order: only the last
-        ``capacity`` rows can survive, so everything earlier is skipped
-        outright and the survivors land in their final ring positions.
-        """
-        records = np.asarray(records, float)
-        if records.size == 0 and records.ndim <= 2:
-            return
-        if records.ndim != 2 or records.shape[1] != self.features:
-            raise ValueError(f"expected shape (k, {self.features}), got {records.shape}")
-        k = len(records)
-        m = min(k, self.capacity)  # rows that actually survive
-        rows = records[k - m :]
-        start = (self._head + (k - m)) % self.capacity
-        first = min(m, self.capacity - start)
-        self._data[start : start + first] = rows[:first]
-        if first < m:
-            self._data[: m - first] = rows[first:]
-        self._head = (self._head + k) % self.capacity
-        self._size = min(self._size + k, self.capacity)
-
-    def view(self) -> np.ndarray:
-        """Chronologically ordered contents, oldest first (copy)."""
-        if self._size < self.capacity:
-            return self._data[: self._size].copy()
-        return np.roll(self._data, -self._head, axis=0).copy()
-
-    def last(self, n: int) -> np.ndarray:
-        """The most recent ``n`` records, oldest first."""
-        out = np.empty((n, self.features))
-        self.last_into(out)
-        return out
-
-    def last_into(self, out: np.ndarray) -> np.ndarray:
-        """Copy the most recent ``len(out)`` records into ``out``, oldest first.
-
-        Serving fast path: unlike :meth:`last` via :meth:`view`, this never
-        materializes (or rolls) the whole buffer — at most two slice copies
-        of exactly ``n`` rows land in the caller-owned output array.
-        """
-        n = len(out)
-        if n < 1 or n > self._size:
-            raise ValueError(f"n must be in [1, {self._size}], got {n}")
-        if self._size < self.capacity:
-            out[...] = self._data[self._size - n : self._size]
-            return out
-        start = (self._head - n) % self.capacity
-        if start + n <= self.capacity:
-            out[...] = self._data[start : start + n]
-        else:
-            split = self.capacity - start
-            out[:split] = self._data[start:]
-            out[split:] = self._data[: n - split]
-        return out
-
-    def clear(self) -> None:
-        self._head = 0
-        self._size = 0
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Raw ring state (data + head + size) for exact checkpoint/restore."""
-        return {
-            "capacity": self.capacity,
-            "features": self.features,
-            "data": self._data.copy(),
-            "head": self._head,
-            "size": self._size,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["capacity"] != self.capacity or state["features"] != self.features:
-            raise ValueError(
-                f"buffer shape mismatch: have ({self.capacity}, {self.features}), "
-                f"checkpoint holds ({state['capacity']}, {state['features']})"
-            )
-        self._data[...] = state["data"]
-        self._head = int(state["head"])
-        self._size = int(state["size"])
+__all__ = ["MatrixRingBuffer"]
 
 
 class MatrixRingBuffer:
     """A fleet of independent ring buffers in one preallocated array.
 
-    Semantically ``streams`` :class:`RollingBuffer` instances — each
-    stream has its own head and size, because quarantined records never
-    enter a stream's history and streams may join mid-flight — but the
-    storage is one ``(streams, capacity, features)`` block, so the two
-    serving hot paths are single vectorized operations:
+    Semantically ``streams`` independent ring buffers — each stream has
+    its own head and size, because quarantined records never enter a
+    stream's history and streams may join mid-flight — but the storage
+    is one ``(streams, capacity, features)`` block, so the two serving
+    hot paths are single vectorized operations:
 
     * :meth:`append_tick` writes one record per (masked) stream via a
       fancy-indexed assignment;
@@ -198,9 +81,8 @@ class MatrixRingBuffer:
         """Gather the most recent ``window`` records of streams ``idx``.
 
         Returns ``(len(idx), window, features)``, oldest first within
-        each window — the fleet equivalent of
-        :meth:`RollingBuffer.last_into` for a whole batch at once.
-        ``out`` (any float dtype) receives the gather when given.
+        each window. ``out`` (any float dtype) receives the gather when
+        given.
         """
         idx = np.asarray(idx, dtype=np.int64)
         if window < 1 or np.any(self._size[idx] < window):

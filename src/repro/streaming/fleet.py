@@ -1,19 +1,18 @@
 """Fleet-scale micro-batched serving: one model forward for N streams.
 
-:class:`~repro.streaming.online.OnlinePredictor` runs a Python-level
-gate -> buffer -> predict loop *per record*. That is fine for one
-container, but the paper's setting is a cluster: thousands of
-containers/machines all sampled on the same 10 s clock. At that scale
-the per-record Python overhead — not the model — dominates serving cost
-(cf. esDNN and the pruned-GRU online predictor in PAPERS.md, which both
-frame cloud-scale prediction as a per-host inference-cost problem).
+The paper's setting is a cluster: thousands of containers/machines all
+sampled on the same 10 s clock. At that scale per-record Python
+overhead — not the model — dominates serving cost (cf. esDNN and the
+pruned-GRU online predictor in PAPERS.md, which both frame cloud-scale
+prediction as a per-host inference-cost problem).
 
-:class:`FleetPredictor` multiplexes N independent streams over shared
-model state and processes one *tick* (one record per stream) at a time:
+:class:`FleetPredictor` is the one serving core. It multiplexes N
+independent streams over shared model state and processes one *tick*
+(one record per stream) at a time:
 
 * the whole ``(N, F)`` tick is gated at once by a vectorized
   :class:`~repro.streaming.resilience.FleetGate` (per-stream Welford
-  moments, verdicts and counters preserved exactly);
+  moments, verdicts and counters);
 * per-stream histories live in one
   :class:`~repro.streaming.buffer.MatrixRingBuffer` — a tick appends
   with one fancy-indexed write, and the due windows of all streams
@@ -31,17 +30,18 @@ model state and processes one *tick* (one record per stream) at a time:
   model on a background worker and the serving thread adopts it at the
   start of a later tick by **atomic weight swap** — the tick that
   triggers a refit only pools and submits, so refit ticks stop paying
-  the fit cost (the p99 stall ROADMAP item 3 targets). Every tick
-  carries the live ``model_version`` and obs tracks staleness, refit
-  lag and swap counts;
+  the fit cost. Every tick carries the live ``model_version`` and obs
+  tracks staleness, refit lag and swap counts;
 * the whole fleet checkpoints to one crash-safe artifact via
   :mod:`repro.streaming.checkpoint`.
 
 **Exactness contract:** with ``n_streams=1`` every emitted record —
-prediction, error, health, gate verdict — is bit-identical to
-:class:`OnlinePredictor` fed the same stream, including after a
-checkpoint/restore mid-stream (asserted in
-``tests/streaming/test_fleet.py``). With N > 1 the semantics
+prediction, error, health, gate verdict — is bit-identical to the
+per-record scalar predictor this module replaced, including after a
+checkpoint/restore mid-stream (asserted against a frozen golden fixture
+in ``tests/streaming/test_fleet.py``).
+:class:`~repro.streaming.online.OnlinePredictor` is exactly that
+one-stream fleet, fed record by record. With N > 1 the semantics
 deliberately generalize: the refit clock is fleet-global (a tick in
 which at least one stream absorbed advances it), the model is shared,
 and a tick is a uniformly shaped matrix (absent streams are all-NaN
@@ -65,7 +65,6 @@ from ..obs.registry import MetricRegistry, get_registry, is_enabled, log_buckets
 from .buffer import MatrixRingBuffer
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .drift import PageHinkley
-from .online import _HEALTH_LEVEL, PredictionRecord
 from .refit import AsyncRefitEngine, RefitTask
 from .resilience import (
     GATE_QUARANTINE,
@@ -76,12 +75,34 @@ from .resilience import (
     SupervisorPolicy,
 )
 
-__all__ = ["FleetPredictor", "FleetTick", "TickColumns"]
+__all__ = ["FleetPredictor", "FleetTick", "PredictionRecord", "TickColumns"]
 
-#: health-gauge level -> HealthStatus (inverse of online._HEALTH_LEVEL)
+#: numeric encoding of :class:`HealthStatus` (health gauge, ``FleetTick.health``)
+_HEALTH_LEVEL = {
+    HealthStatus.HEALTHY: 0,
+    HealthStatus.DEGRADED: 1,
+    HealthStatus.FALLBACK: 2,
+    HealthStatus.RECOVERING: 3,
+}
+#: health-gauge level -> HealthStatus (inverse of _HEALTH_LEVEL)
 _HEALTH_BY_LEVEL = {level: status for status, level in _HEALTH_LEVEL.items()}
 #: gate action code -> the ``gated`` field of :class:`PredictionRecord`
 _GATED_BY_ACTION = (None, "imputed", "quarantined")
+
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """One stream's prequential step outcome (the scalar view of a tick row)."""
+
+    step: int
+    prediction: float | None  # None while warming up or when quarantined
+    actual: float
+    error: float | None
+    refit: bool
+    drift: bool
+    health: HealthStatus = HealthStatus.HEALTHY
+    #: gate verdict for this record: None (clean), "imputed" or "quarantined"
+    gated: str | None = None
 
 
 @dataclass(frozen=True)
@@ -90,8 +111,8 @@ class FleetTick:
 
     The serving hot path never materializes per-stream objects — arrays
     in, arrays out. :meth:`record` / :meth:`records` convert to
-    :class:`~repro.streaming.online.PredictionRecord` for consumers
-    (and the parity tests) that want the scalar view.
+    :class:`PredictionRecord` for consumers (and the parity tests) that
+    want the scalar view.
     """
 
     step: int
@@ -312,6 +333,8 @@ class _FleetStats:
         self.n_refit_failures = 0
         #: async mode: refit triggers that found a background fit in flight
         self.n_refits_deferred = 0
+        #: fallback forecaster fits that raised (the fallback stays unset)
+        self.n_fallback_fit_failures = 0
         #: running fleet totals mirrored at the mutation sites so the
         #: per-tick obs wrapper reads O(1) ints instead of summing the
         #: per-stream arrays (4 O(N) scans/tick — the N=1 bench killer)
@@ -367,6 +390,7 @@ class _FleetStats:
         state["n_refits"] = self.n_refits
         state["n_refit_failures"] = self.n_refit_failures
         state["n_refits_deferred"] = self.n_refits_deferred
+        state["n_fallback_fit_failures"] = self.n_fallback_fit_failures
         state["errors"] = self.errors.state_dict()
         return state
 
@@ -378,6 +402,7 @@ class _FleetStats:
         self.n_refits = int(state["n_refits"])
         self.n_refit_failures = int(state["n_refit_failures"])
         self.n_refits_deferred = int(state.get("n_refits_deferred", 0))
+        self.n_fallback_fit_failures = int(state.get("n_fallback_fit_failures", 0))
         self.total_fallback_predictions = int(self.n_fallback_predictions.sum())
         self.total_clamped_predictions = int(self.n_clamped_predictions.sum())
         self.errors.load_state_dict(state["errors"])
@@ -386,20 +411,64 @@ class _FleetStats:
 class FleetPredictor:
     """Serve one-step-ahead predictions for N streams per shared forward.
 
-    Parameters mirror :class:`~repro.streaming.online.OnlinePredictor`
-    (so a fleet of one is a drop-in, bit-identical replacement), plus:
-
+    Parameters
+    ----------
     n_streams:
         Number of multiplexed streams; each tick carries one record per
         stream as an ``(n_streams, features)`` matrix (or ``(n_streams,)``
         when ``features == 1``). A stream with nothing to report this
         tick is an all-NaN row.
+    forecaster_name, forecaster_kwargs:
+        Registered forecaster (re)fitted on pooled buffer windows. Cheap
+        refittable models (``xgboost``, ``holt``, ``arima``) suit the
+        online setting; deep models work but pay seconds per refit.
+    window:
+        Input window length fed to the forecaster.
+    buffer_capacity:
+        Per-stream history kept for refits.
+    refit_interval:
+        Scheduled refit period (in ticks); drift can trigger earlier.
+    min_fit_size:
+        Records a stream must hold before the first fit (default
+        ``3 * window``).
+    target_col, features:
+        Prediction target column and record width.
     detector:
-        A :class:`~repro.streaming.drift.PageHinkley` *prototype*; its
-        parameters are applied to every stream's vectorized detector
-        state. (Arbitrary :class:`DriftDetector` subclasses are a
-        scalar-predictor feature — the fleet keeps detector state in
-        arrays.)
+        A :class:`~repro.streaming.drift.PageHinkley` *prototype* over
+        absolute errors; its parameters are applied to every stream's
+        vectorized detector state.
+    serve_dtype:
+        Dtype of the preallocated inference batch (e.g. ``np.float32``
+        to serve in single precision; default float64).
+    gate_policy:
+        Input-gate behaviour (imputation / outlier screening); the gate
+        is always on — it is what keeps one NaN record from silently
+        poisoning every later training window.
+    supervisor_policy:
+        Retry/backoff/budget envelope for refits (predictions reuse it
+        with retries disabled — retrying a deterministic forward pass
+        cannot help).
+    fallback_forecaster, fallback_kwargs:
+        Registered forecaster served when the primary is unusable
+        (never fitted, or ``fallback_after`` consecutive refit
+        failures). Must be cheap and hard to break: ``"persistence"``
+        (default), ``"mean"`` or ``"holt"``.
+    error_history:
+        Per-stream retained error-ring length (always bounded).
+    refit_fault_hook:
+        Test/chaos hook invoked at the start of every refit attempt;
+        raising from it simulates a refit crash (see
+        :class:`~repro.streaming.faults.FaultInjector.refit_fault`).
+    registry:
+        :class:`~repro.obs.MetricRegistry` receiving the ``serving_fleet_*``
+        instruments plus the gate and supervisor ones. ``None`` uses the
+        process-global registry. Optional telemetry respects
+        :func:`repro.obs.set_enabled`; the gate/supervisor counts are
+        serving state and always record.
+    span_sample:
+        Open a ``serving.fleet_tick`` trace span on every
+        ``span_sample``-th tick (default 8). The latency histogram still
+        sees every tick.
     refit_streams:
         How many stream buffers contribute windows to one shared-model
         (re)fit. Sampling is round-robin across refits, so successive
@@ -410,8 +479,8 @@ class FleetPredictor:
         recent windows win) — the per-tick refit budget that keeps a
         drift storm from stalling serving.
     refit_mode:
-        ``"sync"`` (default, the PR-5 behavior: pooled refits run
-        in-line with the triggering tick) or ``"async"``: the trigger
+        ``"sync"`` (default: pooled refits run in-line with the
+        triggering tick) or ``"async"``: the trigger
         tick only pools windows and submits them to a background
         :class:`~repro.streaming.refit.AsyncRefitEngine`; the fitted
         model is adopted by atomic swap at the start of a later tick,
@@ -433,9 +502,6 @@ class FleetPredictor:
     warm_epochs:
         Epoch budget for warm-started resumes (``None`` = the model's
         default, a quarter of its cold budget).
-    error_history:
-        Per-stream retained error-ring length (the fleet ring is always
-        bounded; there is no opt-out at fleet scale).
     """
 
     def __init__(
@@ -489,8 +555,8 @@ class FleetPredictor:
         if detector is not None and type(detector) is not PageHinkley:
             raise TypeError(
                 "FleetPredictor vectorizes PageHinkley detector state; "
-                f"got {type(detector).__name__} (use OnlinePredictor for "
-                "custom detectors)"
+                f"got {type(detector).__name__} (pass a PageHinkley with the "
+                "delta/threshold/min_instances you need)"
             )
         self.n_streams = n_streams
         self.forecaster_name = forecaster_name
@@ -513,7 +579,8 @@ class FleetPredictor:
         obs_registry = get_registry(registry)
         self.gate = FleetGate(n_streams, features, gate_policy, registry=obs_registry)
         self.refit_supervisor = Supervisor(supervisor_policy, duty="refit", registry=obs_registry)
-        # predictions: same budget envelope, but no retries (see OnlinePredictor)
+        # predictions: same budget envelope, but no retries (a forward pass
+        # is deterministic, so retrying it cannot help)
         predict_policy = supervisor_policy or SupervisorPolicy()
         self.predict_supervisor = Supervisor(
             SupervisorPolicy(
@@ -551,6 +618,7 @@ class FleetPredictor:
                 ("refit_failures", "terminally failed shared-model refits"),
                 ("drift_events", "per-stream drift detector firings"),
                 ("fallback_predictions", "predictions served by the fallback"),
+                ("fallback_fit_failures", "fallback forecaster fits that raised"),
                 ("clamped_predictions", "predictions clamped into the plausibility band"),
                 ("async_swaps", "background fits adopted by atomic weight swap"),
                 ("refits_deferred", "refit triggers deferred: a background fit was in flight"),
@@ -651,8 +719,7 @@ class FleetPredictor:
         sizes = self.buffer.sizes
         viable = np.flatnonzero(sizes >= self.window + 1)
         if viable.size == 0:
-            # same failure mode as the scalar predictor fitting a short
-            # buffer: raise, and let the supervisor count it
+            # too little history to fit: raise, and let the supervisor count it
             raise ValueError(
                 f"no stream holds the >= {self.window + 1} records needed "
                 "to build a training window"
@@ -684,8 +751,9 @@ class FleetPredictor:
             model = create_forecaster(self.fallback_forecaster, **self.fallback_kwargs)
             model.fit(x, y)
             self.fallback_model = model
-        except Exception:  # noqa: BLE001 — last line of defence stays up
-            pass
+        except Exception:  # noqa: BLE001 — last line of defence stays up, counted
+            self.stats.n_fallback_fit_failures += 1
+            self._obs_counters["fallback_fit_failures"].inc()
 
     def _refit(self) -> bool:
         """Supervised shared-model refit; on terminal failure degrade."""
@@ -801,18 +869,26 @@ class FleetPredictor:
                 self.on_fallback = True
         return False
 
-    def _sanitize(self, predictions: np.ndarray, served: np.ndarray) -> None:
+    def _sanitize(
+        self, predictions: np.ndarray, served: np.ndarray, used_fallback: np.ndarray
+    ) -> None:
         """Vectorized output guard over the streams that were just served.
 
-        Mirrors ``OnlinePredictor._sanitize_prediction``: non-finite
-        forecasts are dropped (and counted as predict failures), finite
-        ones are clamped into each stream's plausibility band.
+        Non-finite forecasts are dropped and counted — as predict
+        failures, or as fallback predict failures when the fallback made
+        them (such a row is unserved, so it is no fallback prediction and
+        carries the fleet's health). Finite forecasts are clamped into
+        each stream's plausibility band.
         """
         vals = predictions[served]
         bad = ~np.isfinite(vals)
         if bad.any():
-            self.stats.n_predict_failures[served[bad]] += 1
-            predictions[served[bad]] = np.nan
+            rows = served[bad]
+            predictions[rows] = np.nan
+            by_fallback = used_fallback[rows]
+            self.stats.n_predict_failures[rows[~by_fallback]] += 1
+            self.stats.n_fallback_predict_failures[rows[by_fallback]] += 1
+            used_fallback[rows] = False
         sigma = self.gate.policy.prediction_sigma
         if sigma is None:
             return
@@ -910,7 +986,7 @@ class FleetPredictor:
         gated = self.gate.check_tick(arr)
         accepted = gated.actions != GATE_QUARANTINE
         # quarantined rows report their *raw* target (possibly NaN), accepted
-        # rows the repaired one — exactly the scalar predictor's bookkeeping
+        # rows the repaired one
         actuals = np.where(accepted, gated.records[:, self.target_col], arr[:, self.target_col])
 
         # -- micro-batched prediction (prequential: before absorbing the tick)
@@ -950,7 +1026,7 @@ class FleetPredictor:
                         except Exception:  # noqa: BLE001 — the tick is lost, but counted
                             st.n_fallback_predict_failures[idx] += 1
             if fresh is not None:
-                self._sanitize(predictions, fresh)
+                self._sanitize(predictions, fresh, used_fallback)
         if used_fallback.any():
             st.n_fallback_predictions[used_fallback] += 1
             st.total_fallback_predictions += int(np.count_nonzero(used_fallback))
@@ -969,8 +1045,7 @@ class FleetPredictor:
         fired = self.detector.update(errors, have)
         st.n_drifts[fired] += 1
 
-        # -- absorb + refit clock (a fully quarantined tick changes nothing,
-        #    matching the scalar predictor's early return)
+        # -- absorb + refit clock (a fully quarantined tick changes nothing)
         self.buffer.append_tick(gated.records, mask=accepted)
         self._step += 1
         refit = swapped
@@ -1140,8 +1215,11 @@ class FleetPredictor:
     def restore(cls, path: str | Path, **overrides: Any) -> "FleetPredictor":
         """Rebuild a fleet from a checkpoint and resume every stream."""
         artifact = read_checkpoint(path)
-        if not isinstance(artifact, dict) or artifact.get("kind") != "fleet_predictor":
-            raise CheckpointError(f"{path} does not hold a FleetPredictor checkpoint")
+        kind = artifact.get("kind") if isinstance(artifact, dict) else None
+        if kind != "fleet_predictor":
+            raise CheckpointError(
+                f"{path} holds a {kind!r} checkpoint, not a 'fleet_predictor' one"
+            )
         state = artifact["state"]
         cfg = dict(state["config"])
         cfg["serve_dtype"] = np.dtype(cfg["serve_dtype"])

@@ -3,20 +3,20 @@
 The paper's own data is "partially incomplete or has outliers due to
 network anomalies, system interruption etc." (§III-A) — and a live
 monitoring stream is strictly worse than an archived trace. This module
-gives :class:`~repro.streaming.online.OnlinePredictor` the pieces it
+gives :class:`~repro.streaming.fleet.FleetPredictor` the pieces it
 needs to survive that reality:
 
-* :class:`InputGate` — validates every incoming record *before* it can
-  reach the rolling buffer. Malformed records (wrong arity, all-NaN)
-  are quarantined; partially missing or outlying cells are imputed from
-  per-feature running statistics. Every decision is counted, so data
-  loss is a visible metric instead of silent poison.
+* :class:`FleetGate` — validates every incoming tick *before* it can
+  reach the ring buffer. All-NaN rows are quarantined; partially
+  missing or outlying cells are imputed from per-stream, per-feature
+  running statistics. Every decision is counted, so data loss is a
+  visible metric instead of silent poison.
 * :class:`Supervisor` — runs refits (and predictions) inside a
   try/retry envelope with exponential backoff and a wall-time budget,
   tracking consecutive failures so the predictor knows when to degrade
   to its fallback forecaster.
-* :class:`HealthStatus` — the three-state health signal stamped on
-  every :class:`~repro.streaming.online.PredictionRecord`.
+* :class:`HealthStatus` — the health signal stamped on every served row
+  (:class:`~repro.streaming.fleet.PredictionRecord` in the scalar view).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import enum
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from ..obs.registry import MetricRegistry, get_registry
 __all__ = [
     "HealthStatus",
     "GatePolicy",
-    "GateResult",
-    "InputGate",
     "FleetGate",
     "FleetGateResult",
     "SupervisorPolicy",
@@ -120,218 +118,9 @@ class GatePolicy:
             raise ValueError(f"min_history must be >= 2, got {self.min_history}")
 
 
-@dataclass(frozen=True)
-class GateResult:
-    """Outcome of gating one record.
-
-    ``action`` is ``"accept"``, ``"impute"`` or ``"quarantine"``;
-    ``record`` holds the (possibly repaired) record for the first two
-    and ``None`` when quarantined; ``reason`` names the defect class
-    (``"arity"``, ``"empty"``, ``"missing"``, ``"outlier"``, ...).
-    """
-
-    action: str
-    record: np.ndarray | None
-    reason: str | None = None
-
-
-class InputGate:
-    """Validate, repair or quarantine records before they enter the buffer.
-
-    Keeps per-feature running moments (Welford) over *accepted* data
-    only, so corrupt records cannot skew the statistics used to judge
-    later ones. Every decision counts into :mod:`repro.obs` instruments
-    registered with ``registry`` (default: the process-global registry),
-    aggregated across gates in exported snapshots; the historical
-    ``n_seen``/``n_accepted``/``n_imputed``/``n_quarantined``/``reasons``
-    attributes remain as exact per-instance views. These counts are
-    serving state (checkpointed, asserted on), so they record regardless
-    of the :func:`repro.obs.set_enabled` switch.
-    """
-
-    def __init__(
-        self,
-        features: int,
-        policy: GatePolicy | None = None,
-        registry: MetricRegistry | None = None,
-    ) -> None:
-        if features < 1:
-            raise ValueError(f"features must be >= 1, got {features}")
-        self.features = features
-        self.policy = policy or GatePolicy()
-        self._registry = get_registry(registry)
-        self._c_seen = MetricCounter(
-            "serving_gate_seen_total", "records offered to the input gate"
-        )
-        self._c_actions = {
-            action: MetricCounter(
-                "serving_gate_records_total",
-                "gate verdicts by action",
-                {"action": action},
-            )
-            for action in ("accept", "impute", "quarantine")
-        }
-        self._c_reasons: dict[str, MetricCounter] = {}
-        for inst in (self._c_seen, *self._c_actions.values()):
-            self._registry.register(inst)
-        self._last = np.full(features, np.nan)
-        self._count = 0
-        self._mean = np.zeros(features)
-        self._m2 = np.zeros(features)
-
-    # -- counter views ----------------------------------------------------------
-
-    @property
-    def n_seen(self) -> int:
-        return int(self._c_seen.value)
-
-    @property
-    def n_accepted(self) -> int:
-        return int(self._c_actions["accept"].value)
-
-    @property
-    def n_imputed(self) -> int:
-        return int(self._c_actions["impute"].value)
-
-    @property
-    def n_quarantined(self) -> int:
-        return int(self._c_actions["quarantine"].value)
-
-    @property
-    def reasons(self) -> Counter[str]:
-        """Per-reason defect counts (view over the registry instruments)."""
-        return Counter({k: int(c.value) for k, c in self._c_reasons.items() if c.value})
-
-    def _count_reason(self, reason: str) -> None:
-        counter = self._c_reasons.get(reason)
-        if counter is None:
-            counter = MetricCounter(
-                "serving_gate_reasons_total", "gate defect classes", {"reason": reason}
-            )
-            self._registry.register(counter)
-            self._c_reasons[reason] = counter
-        counter.inc()
-
-    # -- internals -------------------------------------------------------------
-
-    def _quarantine(self, reason: str) -> GateResult:
-        self._c_actions["quarantine"].inc()
-        self._count_reason(reason)
-        return GateResult("quarantine", None, reason)
-
-    def _absorb(self, record: np.ndarray) -> None:
-        self._last = record.copy()
-        self._count += 1
-        delta = record - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (record - self._mean)
-
-    def _running_std(self) -> np.ndarray:
-        if self._count < 2:
-            return np.zeros(self.features)
-        return np.sqrt(self._m2 / (self._count - 1))
-
-    def band(self, sigma: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(lo, hi)`` plausibility band per feature, or None before arming."""
-        if self._count < self.policy.min_history:
-            return None
-        std = self._running_std()
-        return self._mean - sigma * std, self._mean + sigma * std
-
-    # -- API -------------------------------------------------------------------
-
-    def check(self, record: Any) -> GateResult:
-        """Gate one incoming record; never raises on malformed input."""
-        self._c_seen.inc()
-        try:
-            arr = np.atleast_1d(np.asarray(record, float)).ravel()
-        except (TypeError, ValueError):
-            return self._quarantine("unparseable")
-        if arr.shape != (self.features,):
-            return self._quarantine("arity")
-
-        repaired = arr.copy()
-        finite = np.isfinite(arr)
-        reason: str | None = None
-        if not finite.any():
-            return self._quarantine("empty")
-        if not finite.all():
-            if self.policy.impute == "drop":
-                return self._quarantine("missing")
-            fill = self._last if self.policy.impute == "last" else self._mean
-            usable = np.isfinite(fill) if self.policy.impute == "last" else self._count > 0
-            if not np.all(np.where(finite, True, usable)):
-                # a missing cell with no history to impute from
-                return self._quarantine("no_history")
-            repaired[~finite] = fill[~finite]
-            reason = "missing"
-
-        if self.policy.outlier_sigma is not None and self._count >= self.policy.min_history:
-            std = self._running_std()
-            band = self.policy.outlier_sigma * std
-            wild = (std > 0) & (np.abs(repaired - self._mean) > band)
-            if wild.any():
-                clamped = repaired.copy()
-                clamped[wild] = (
-                    self._mean[wild]
-                    + np.sign(repaired[wild] - self._mean[wild]) * band[wild]
-                )
-                if self.policy.outlier_action == "quarantine":
-                    # the record is dropped, but the *clamped* value still
-                    # feeds the running moments: a genuine regime shift keeps
-                    # pulling the band toward itself (bounded influence) and
-                    # gets re-admitted, while an impulse fault barely moves it
-                    self._absorb(clamped)
-                    return self._quarantine("outlier")
-                repaired = clamped
-                reason = "outlier" if reason is None else reason
-
-        self._absorb(repaired)
-        if reason is None:
-            self._c_actions["accept"].inc()
-            return GateResult("accept", repaired)
-        self._c_actions["impute"].inc()
-        self._count_reason(reason)
-        return GateResult("impute", repaired, reason)
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "n_seen": self.n_seen,
-            "n_accepted": self.n_accepted,
-            "n_imputed": self.n_imputed,
-            "n_quarantined": self.n_quarantined,
-            "reasons": dict(self.reasons),
-            "last": self._last.copy(),
-            "count": self._count,
-            "mean": self._mean.copy(),
-            "m2": self._m2.copy(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._c_seen.restore(int(state["n_seen"]))
-        self._c_actions["accept"].restore(int(state["n_accepted"]))
-        self._c_actions["impute"].restore(int(state["n_imputed"]))
-        self._c_actions["quarantine"].restore(int(state["n_quarantined"]))
-        for counter in self._c_reasons.values():
-            counter.restore(0)
-        for reason, count in dict(state["reasons"]).items():
-            self._count_reason(reason)
-            self._c_reasons[reason].restore(int(count))
-        self._last = np.asarray(state["last"], float).copy()
-        self._count = int(state["count"])
-        self._mean = np.asarray(state["mean"], float).copy()
-        self._m2 = np.asarray(state["m2"], float).copy()
-
-
-# ---------------------------------------------------------------------------
-# fleet (vectorized) input gate
-# ---------------------------------------------------------------------------
-
 #: integer encodings used by :class:`FleetGateResult` (hot-path friendly)
 GATE_ACCEPT, GATE_IMPUTE, GATE_QUARANTINE = 0, 1, 2
-#: reason codes -> the reason strings :class:`InputGate` uses
+#: reason codes -> the defect-class names in the counters and tallies
 GATE_REASONS = (None, "missing", "outlier", "empty", "no_history")
 _R_NONE, _R_MISSING, _R_OUTLIER, _R_EMPTY, _R_NO_HISTORY = range(5)
 
@@ -357,18 +146,21 @@ class FleetGateResult:
 
 
 class FleetGate:
-    """Vectorized :class:`InputGate` over N parallel streams.
+    """Validate, repair or quarantine one record per stream, all at once.
 
     Runs the NaN / empty-record / imputation / Welford-band checks on a
-    whole ``(streams, features)`` tick at once while keeping *per-stream*
-    running moments, verdict counters and reason tallies — each stream's
-    decisions and statistics are bit-identical to what a dedicated
-    :class:`InputGate` fed the same records would produce. The one
-    intentional difference: a tick is a uniformly shaped float matrix,
-    so the scalar gate's ``"unparseable"`` / ``"arity"`` defects cannot
-    occur here (a stream with no data this tick is an all-NaN row, which
-    quarantines as ``"empty"``); malformed per-stream payloads must be
+    whole ``(streams, features)`` tick while keeping *per-stream* running
+    moments (over accepted data only, so corrupt records cannot skew the
+    statistics used to judge later ones), verdict counters and reason
+    tallies. A tick is a uniformly shaped float matrix: a stream with no
+    data this tick is an all-NaN row, which quarantines as ``"empty"``,
+    and malformed per-stream payloads (wrong arity, unparseable) must be
     mapped to NaN rows by whatever assembles the tick.
+
+    Every decision also counts into :mod:`repro.obs` instruments
+    registered with ``registry`` (default: the process-global registry).
+    These counts are serving state (checkpointed, asserted on), so they
+    record regardless of the :func:`repro.obs.set_enabled` switch.
     """
 
     def __init__(
@@ -480,7 +272,7 @@ class FleetGate:
 
         ``lo``/``hi`` are ``(streams, features)``; rows where ``armed``
         is False have not seen ``min_history`` accepted records yet and
-        must not be used (the scalar gate returns ``None`` there).
+        must not be used.
         """
         armed = self._count >= self.policy.min_history
         std = self._running_std()
@@ -544,8 +336,10 @@ class FleetGate:
                         repaired,
                     )
                     if self.policy.outlier_action == "quarantine":
-                        # drop the record, but feed the *clamped* value to the
-                        # running moments (bounded influence — see InputGate)
+                        # the record is dropped, but the *clamped* value still
+                        # feeds the running moments: a genuine regime shift keeps
+                        # pulling the band toward itself (bounded influence) and
+                        # gets re-admitted, while an impulse fault barely moves it
                         self._absorb_rows(wild_rows, clamped)
                         quarantined |= wild_rows
                         reasons[wild_rows] = _R_OUTLIER

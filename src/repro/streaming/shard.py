@@ -368,6 +368,7 @@ def _shard_worker(
                             "sum_abs_error": float(st.sum_abs_error.sum()),
                             "n_refits": int(st.n_refits),
                             "n_refit_failures": int(st.n_refit_failures),
+                            "n_fallback_fit_failures": int(st.n_fallback_fit_failures),
                             "n_drifts": int(st.n_drifts.sum()),
                             "n_quarantined": int(predictor.gate.n_quarantined.sum()),
                             "health": predictor.health.name,
@@ -1176,7 +1177,8 @@ class ShardedFleetPredictor:
         self._assert_no_inflight("stats")
         per_shard: list[dict[str, Any]] = []
         totals = {"n_predictions": 0, "sum_abs_error": 0.0, "n_refits": 0,
-                  "n_refit_failures": 0, "n_drifts": 0, "n_quarantined": 0}
+                  "n_refit_failures": 0, "n_fallback_fit_failures": 0, "n_drifts": 0,
+                  "n_quarantined": 0}
         for h in self._handles:
             if h.state != "live":
                 per_shard.append(

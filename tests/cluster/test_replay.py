@@ -40,20 +40,3 @@ class TestExcessStats:
         with pytest.raises(AttributeError):
             s.rate = 1.0
 
-
-class TestReExports:
-    """The open-loop simulators re-export the shared primitives."""
-
-    def test_allocation_simulator_reexports(self):
-        from repro.allocation import simulator as alloc_sim
-
-        assert alloc_sim.excess_stats is excess_stats
-        assert alloc_sim.ExcessStats is ExcessStats
-        assert alloc_sim.EXCESS_EPS == EXCESS_EPS
-
-    def test_scheduling_simulator_reexports(self):
-        from repro.scheduling import simulator as sched_sim
-
-        assert sched_sim.excess_stats is excess_stats
-        assert sched_sim.ExcessStats is ExcessStats
-        assert sched_sim.EXCESS_EPS == EXCESS_EPS

@@ -87,13 +87,21 @@ class TestServingWiring:
         )
         n = 200
         pred.run(_stream(n))
-        lat = _series(reg, "serving_process_seconds")
+        # the predictor is a one-stream fleet: one tick per record
+        lat = _series(reg, "serving_fleet_tick_seconds")
         assert lat["count"] == n
-        assert _series(reg, "serving_health_state")["value"] == 0.0
-        assert _series(reg, "serving_predictions_total")["value"] == float(
-            pred.stats.n_predictions
+        assert _series(reg, "serving_fleet_health_state")["value"] == 0.0
+        assert _series(reg, "serving_fleet_records_total")["value"] == float(n)
+        assert _series(reg, "serving_fleet_predictions_total")["value"] == float(
+            pred.stats.n_predictions[0]
         )
-        assert _series(reg, "serving_refits_total")["value"] == float(pred.stats.n_refits)
+        assert _series(reg, "serving_fleet_refits_total")["value"] == float(
+            pred.stats.n_refits
+        )
+        # the retired per-record series are not exported any more
+        names = {s["name"] for s in reg.collect()}
+        assert not names & {"serving_process_seconds", "serving_health_state",
+                            "serving_predictions_total", "serving_refits_total"}
 
     def test_gate_and_supervisor_counters_registered(self):
         reg = MetricRegistry()
@@ -109,8 +117,8 @@ class TestServingWiring:
         assert _series(reg, "serving_gate_reasons_total", reason="empty")["value"] == 1.0
         retries = _series(reg, "serving_supervisor_calls_total", duty="refit")
         assert retries is not None and retries["value"] >= 1.0
-        # registry counters agree with the legacy attribute views
-        assert pred.gate.n_quarantined == 1
+        # registry counters agree with the gate's attribute views
+        assert pred.gate.n_quarantined[0] == 1
 
     def test_serving_spans(self):
         pred = OnlinePredictor(
@@ -120,9 +128,9 @@ class TestServingWiring:
         trace.default_tracer().clear()
         pred.run(_stream(60))
         root = trace.default_tracer().last
-        assert root.name == "serving.run"
+        assert root.name == "serving.fleet_run"
         assert root.counters["records"] == 60
-        assert len(root.find("serving.process")) == 60
+        assert len(root.find("serving.fleet_tick")) == 60
 
     def test_serving_spans_sampled_by_default(self):
         pred = OnlinePredictor(
@@ -133,7 +141,7 @@ class TestServingWiring:
         pred.run(_stream(64))
         root = trace.default_tracer().last
         # 1-in-8 span sampling, but the histogram saw every record
-        assert len(root.find("serving.process")) == 8
+        assert len(root.find("serving.fleet_tick")) == 8
         with pytest.raises(ValueError, match="span_sample"):
             OnlinePredictor("holt", window=8, buffer_capacity=100, span_sample=0)
 

@@ -455,9 +455,9 @@ class TestRefitClockRegression:
         )
         rows = iter(_streams(400, 1))
         predictor.run(_streams(40, 1, seed=1)[:, 0])
-        assert predictor.model is not None
+        assert predictor.fleet.model is not None
         self._check_no_storm(
-            predictor,
+            predictor.fleet,
             lambda: predictor.process(next(rows)),
             _COMMON["refit_interval"],
         )

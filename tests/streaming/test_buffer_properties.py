@@ -1,10 +1,23 @@
-"""Hypothesis property tests on the ring buffers."""
+"""Hypothesis property tests on the ring buffer, against a plain deque model."""
+
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import MatrixRingBuffer, RollingBuffer
+from repro.streaming import MatrixRingBuffer
+
+
+def _fill(capacity, stream, features=1):
+    """A one-stream ring and its reference model after appending ``stream``."""
+    buf = MatrixRingBuffer(1, capacity, features)
+    model = deque(maxlen=capacity)
+    for v in stream:
+        row = np.full(features, float(v))
+        buf.append_tick(row[None, :])
+        model.append(row)
+    return buf, model
 
 
 class TestBufferProperties:
@@ -15,20 +28,15 @@ class TestBufferProperties:
     @settings(max_examples=100, deadline=None)
     def test_view_equals_tail_of_stream(self, capacity, stream):
         """After any append sequence, view() is the last ``capacity`` items."""
-        buf = RollingBuffer(capacity, 1)
-        for v in stream:
-            buf.append(np.array([v]))
+        buf, _ = _fill(capacity, stream)
         expected = np.asarray(stream[-capacity:], float)
-        np.testing.assert_array_equal(buf.view()[:, 0], expected)
+        np.testing.assert_array_equal(buf.view(0)[:, 0], expected)
 
     @given(st.integers(1, 10), st.integers(0, 50))
     @settings(max_examples=60, deadline=None)
     def test_size_never_exceeds_capacity(self, capacity, n):
-        buf = RollingBuffer(capacity, 2)
-        for i in range(n):
-            buf.append(np.array([float(i), float(i)]))
-        assert len(buf) == min(n, capacity)
-        assert buf.full == (n >= capacity)
+        buf, model = _fill(capacity, range(n), features=2)
+        assert int(buf.sizes[0]) == len(model) == min(n, capacity)
 
     @given(
         st.integers(2, 12),
@@ -36,11 +44,9 @@ class TestBufferProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_last_is_suffix_of_view(self, capacity, stream):
-        buf = RollingBuffer(capacity, 1)
-        for v in stream:
-            buf.append(np.array([v]))
-        n = min(2, len(buf))
-        np.testing.assert_array_equal(buf.last(n), buf.view()[-n:])
+        buf, _ = _fill(capacity, stream)
+        n = min(2, int(buf.sizes[0]))
+        np.testing.assert_array_equal(buf.last_windows(np.array([0]), n)[0], buf.view(0)[-n:])
 
     @given(
         st.integers(2, 12),
@@ -49,39 +55,13 @@ class TestBufferProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_last_into_matches_view_suffix_for_all_n(self, capacity, stream, data):
-        """The no-copy tail fill agrees with view()[-n:] at every wrap state."""
-        buf = RollingBuffer(capacity, 1)
-        for v in stream:
-            buf.append(np.array([v]))
-        n = data.draw(st.integers(1, len(buf)))
-        out = np.empty((n, 1))
-        result = buf.last_into(out)
+        """The gather into a caller-owned buffer equals the model's tail at every wrap state."""
+        buf, model = _fill(capacity, stream)
+        n = data.draw(st.integers(1, len(model)))
+        out = np.empty((1, n, 1))
+        result = buf.last_windows(np.array([0]), n, out=out)
         assert result is out
-        np.testing.assert_array_equal(out, buf.view()[-n:])
-
-    @given(
-        st.integers(1, 16),
-        st.lists(
-            st.lists(st.floats(-100, 100, allow_nan=False, width=64),
-                     min_size=0, max_size=40),
-            min_size=0,
-            max_size=6,
-        ),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_extend_equals_appending_each_row(self, capacity, chunks):
-        """Vectorized extend == looping append, at every wrap/overflow state."""
-        fast = RollingBuffer(capacity, 2)
-        slow = RollingBuffer(capacity, 2)
-        for chunk in chunks:
-            rows = np.array([[v, -v] for v in chunk], float).reshape(len(chunk), 2)
-            fast.extend(rows)
-            for row in rows:
-                slow.append(row)
-            np.testing.assert_array_equal(fast.view(), slow.view())
-            assert len(fast) == len(slow)
-        # internal ring state must agree too, not just the view
-        assert fast.state_dict()["head"] == slow.state_dict()["head"]
+        np.testing.assert_array_equal(out[0], np.array(model)[-n:])
 
 
 class TestMatrixRingBufferProperties:
@@ -97,9 +77,9 @@ class TestMatrixRingBufferProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_each_stream_matches_a_rolling_buffer(self, streams, capacity, masks, data):
-        """A masked tick sequence == per-stream RollingBuffer appends."""
+        """A masked tick sequence == per-stream bounded-deque appends."""
         fleet = MatrixRingBuffer(streams, capacity, 1)
-        scalars = [RollingBuffer(capacity, 1) for _ in range(streams)]
+        models = [deque(maxlen=capacity) for _ in range(streams)]
         rng = np.random.default_rng(0)
         for tick_mask in masks:
             mask = np.resize(np.asarray(tick_mask, bool), streams)
@@ -107,12 +87,13 @@ class TestMatrixRingBufferProperties:
             fleet.append_tick(records, mask=mask)
             for i in range(streams):
                 if mask[i]:
-                    scalars[i].append(records[i])
-        for i in range(streams):
-            np.testing.assert_array_equal(fleet.view(i), scalars[i].view())
-            assert int(fleet.sizes[i]) == len(scalars[i])
-            if len(scalars[i]) >= 1:
-                w = data.draw(st.integers(1, len(scalars[i])))
+                    models[i].append(records[i])
+        for i, model in enumerate(models):
+            expected = np.array(model).reshape(len(model), 1)
+            np.testing.assert_array_equal(fleet.view(i), expected)
+            assert int(fleet.sizes[i]) == len(model)
+            if len(model) >= 1:
+                w = data.draw(st.integers(1, len(model)))
                 np.testing.assert_array_equal(
-                    fleet.last_windows(np.array([i]), w)[0], scalars[i].last(w)
+                    fleet.last_windows(np.array([i]), w)[0], expected[-w:]
                 )

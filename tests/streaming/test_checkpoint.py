@@ -1,6 +1,6 @@
 """Checkpoint artifact integrity plus the end-to-end resilience test.
 
-The acceptance criterion from the resilience PR: replay a corrupted
+The acceptance criterion for resilient serving: replay a corrupted
 trace through an OnlinePredictor, kill it and restore from a checkpoint
 mid-stream, and assert (a) no unhandled exception, (b) post-restore
 predictions match the uninterrupted run, (c) MAE degrades gracefully as
@@ -14,6 +14,7 @@ from repro.streaming import (
     CheckpointError,
     FaultConfig,
     FaultInjector,
+    FleetPredictor,
     GatePolicy,
     OnlinePredictor,
     SupervisorPolicy,
@@ -137,8 +138,29 @@ class TestPredictorRestore:
     def test_restore_rejects_foreign_artifact(self, tmp_path):
         path = tmp_path / "other.ckpt"
         write_checkpoint(path, {"kind": "something_else", "state": {}})
-        with pytest.raises(CheckpointError, match="OnlinePredictor"):
+        with pytest.raises(CheckpointError, match="something_else"):
             OnlinePredictor.restore(path)
+
+    def test_restore_rejects_retired_scalar_format(self, tmp_path):
+        """Checkpoints of the old per-record scalar predictor are refused by name."""
+        path = tmp_path / "scalar.ckpt"
+        write_checkpoint(path, {"kind": "online_predictor", "state": {"config": {}}})
+        with pytest.raises(CheckpointError, match="'online_predictor'"):
+            OnlinePredictor.restore(path)
+
+    def test_restore_rejects_multi_stream_fleet(self, tmp_path):
+        fleet = FleetPredictor(3, "holt", window=8, buffer_capacity=150)
+        fleet.save(tmp_path / "fleet.ckpt")
+        with pytest.raises(CheckpointError, match="mismatch"):
+            OnlinePredictor.restore(tmp_path / "fleet.ckpt")
+
+    def test_checkpoint_is_a_one_stream_fleet(self, tmp_path):
+        pred = _predictor()
+        pred.run(_stream(120))
+        pred.save(tmp_path / "p.ckpt")
+        fleet = FleetPredictor.restore(tmp_path / "p.ckpt")
+        assert fleet.n_streams == 1
+        assert fleet.stats.n_predictions[0] == pred.stats.n_predictions[0]
 
     def test_save_overwrites_atomically(self, tmp_path):
         pred = _predictor()

@@ -1,22 +1,57 @@
-"""Fleet serving: N=1 bit-parity with the scalar predictor, multi-stream semantics.
+"""Fleet serving: N=1 bit-parity with a frozen scalar oracle, multi-stream semantics.
 
 The load-bearing guarantee of ``repro.streaming.fleet`` is that the
 vectorized path is not an approximation: with one stream, every record —
-prediction, error, health, gate verdict, refit/drift flags — is
-bit-identical to :class:`~repro.streaming.online.OnlinePredictor` fed
-the same values, including across a checkpoint/restore mid-stream. On
-top of that, per-stream isolation (one stream's faults never touch a
-neighbour's history) and fleet-wide checkpointing are covered here.
+prediction, error, health, gate verdict, refit/drift flags — plus the
+final statistics and gate counters are bit-identical to the per-record
+scalar predictor and per-stream scalar input gate the fleet replaced,
+including across a checkpoint/restore mid-stream. On top of that,
+per-stream isolation (one stream's faults never touch a neighbour's
+history) and fleet-wide checkpointing are covered here.
+
+The scalar oracle survives as the golden fixture ``data/scalar_golden.npz``,
+generated once at commit c14922f8329be96c1266c4a2c8666cf75c157004 (the
+last commit with the scalar classes) by this recipe, with
+``np.savez_compressed``:
+
+* ``stream_seed7`` / ``stream_seed11``: 320 records of a sinusoid
+  (``50 + 10 sin(2 pi t / 24)`` + N(0, 1.5) noise, +20 from t=220) with
+  5 NaNs and 5 sixfold spikes at ``rng.choice(arange(10, 320), 10)``,
+  drawn from ``np.random.default_rng(seed)``;
+* ``pred_{holt,mean,persistence}_*``: the scalar ``OnlinePredictor``
+  (window=8, buffer_capacity=120, refit_interval=40, min_fit_size=24)
+  with the three forecaster/gate-policy pairs of
+  :class:`TestSingleStreamBitParity`, fed ``stream_seed7`` one record at
+  a time; ``pred_ckpt_*``: holt over ``stream_seed11``, saved and
+  restored from its own checkpoint after record 150. Per record: step,
+  prediction and error (NaN for None), actual, refit, drift, health level
+  (0 healthy .. 3 recovering) and gate verdict (0 clean, 1 imputed,
+  2 quarantined); at the end: the integer stats named in ``stat_names``,
+  ``sum_abs_error`` / ``sum_sq_error``, the gate counters (seen,
+  accepted, imputed, quarantined) and the reason tallies named in
+  ``reason_names``;
+* ``gate_ticks``: 200 ticks x 5 streams x 2 features of N(10, 2) from
+  ``default_rng(17)``, 3% of cells NaN, 2% of rows scaled by 9;
+  ``gate{k}_*``: five scalar ``InputGate`` instances (one per stream)
+  under the k-th policy of :class:`TestFleetGateParity`: per-tick
+  actions, repaired records (NaN when quarantined), final
+  accepted/imputed/quarantined counts, reason tallies and the Welford
+  ``mean`` / ``m2`` moments.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.models.base import Forecaster
+from repro.obs.registry import MetricRegistry
 from repro.streaming import (
     FleetPredictor,
+    HealthStatus,
     MatrixRingBuffer,
     OnlinePredictor,
+    SupervisorPolicy,
 )
 from repro.streaming.checkpoint import CheckpointError
 from repro.streaming.drift import PageHinkley
@@ -24,38 +59,41 @@ from repro.streaming.resilience import (
     GATE_QUARANTINE,
     FleetGate,
     GatePolicy,
-    InputGate,
 )
 
-
-def _corrupt_stream(seed: int, n: int = 320) -> np.ndarray:
-    """Sinusoid + noise + regime shift + NaNs + impulse outliers."""
-    rng = np.random.default_rng(seed)
-    t = np.arange(n, dtype=float)
-    x = 50 + 10 * np.sin(2 * np.pi * t / 24) + rng.normal(0, 1.5, n)
-    x[220:] += 20
-    bad = rng.choice(np.arange(10, n), size=10, replace=False)
-    x[bad[:5]] = np.nan
-    x[bad[5:]] *= 6
-    return x
+GOLDEN = np.load(Path(__file__).parent / "data" / "scalar_golden.npz")
 
 
-def _assert_records_equal(scalar_recs, fleet_ticks):
-    def feq(a, b):
-        if a is None or b is None:
-            return a is None and b is None
-        return a == b or (np.isnan(a) and np.isnan(b))
+def _tick_columns(ticks):
+    """Stream 0 of each tick, as the fixture's per-record columns."""
+    return {
+        "step": np.array([t.step for t in ticks]),
+        "prediction": np.array([t.predictions[0] for t in ticks]),
+        "actual": np.array([t.actuals[0] for t in ticks]),
+        "error": np.array([t.errors[0] for t in ticks]),
+        "refit": np.array([t.refit for t in ticks]),
+        "drift": np.array([t.drift[0] for t in ticks]),
+        "health": np.array([t.health[0] for t in ticks]),
+        "gated": np.array([t.gated[0] for t in ticks]),
+    }
 
-    for srec, tick in zip(scalar_recs, fleet_ticks):
-        frec = tick.record(0)
-        assert frec.step == srec.step
-        assert feq(frec.prediction, srec.prediction), f"step {srec.step}"
-        assert feq(frec.actual, srec.actual), f"step {srec.step}"
-        assert feq(frec.error, srec.error), f"step {srec.step}"
-        assert frec.refit == srec.refit, f"step {srec.step}"
-        assert frec.drift == srec.drift, f"step {srec.step}"
-        assert frec.health == srec.health, f"step {srec.step}"
-        assert frec.gated == srec.gated, f"step {srec.step}"
+
+def _assert_matches_golden(prefix, columns, fleet):
+    """Exact (no-tolerance) equality with the frozen scalar run."""
+    for name, got in columns.items():
+        np.testing.assert_array_equal(got, GOLDEN[prefix + name], err_msg=name)
+    st = fleet.stats
+    stats = [int(np.sum(getattr(st, name))) for name in GOLDEN["stat_names"]]
+    np.testing.assert_array_equal(stats, GOLDEN[prefix + "stats"])
+    assert st.sum_abs_error[0] == GOLDEN[prefix + "sum_abs_error"]
+    assert st.sum_sq_error[0] == GOLDEN[prefix + "sum_sq_error"]
+    gate = fleet.gate
+    counts = [gate.n_seen[0], gate.n_accepted[0], gate.n_imputed[0], gate.n_quarantined[0]]
+    np.testing.assert_array_equal(counts, GOLDEN[prefix + "gate_counts"])
+    reasons = gate.reasons(0)
+    np.testing.assert_array_equal(
+        [reasons[name] for name in GOLDEN["reason_names"]], GOLDEN[prefix + "gate_reasons"]
+    )
 
 
 _COMMON = dict(
@@ -84,36 +122,37 @@ class TestSingleStreamBitParity:
         ],
     )
     def test_corrupt_stream_records_identical(self, forecaster, policy):
-        x = _corrupt_stream(7)
-        scalar = OnlinePredictor(forecaster, gate_policy=policy, **_COMMON)
         fleet = FleetPredictor(1, forecaster, gate_policy=policy, **_COMMON)
-        srecs = [scalar.process(np.array([v])) for v in x]
-        fticks = [fleet.process_tick(np.array([[v]])) for v in x]
-        _assert_records_equal(srecs, fticks)
-        assert scalar.stats.n_predictions == int(fleet.stats.n_predictions[0])
-        assert scalar.stats.n_refits == fleet.stats.n_refits
-        assert scalar.stats.n_drifts == int(fleet.stats.n_drifts[0])
-        assert scalar.stats.n_clamped_predictions == int(
-            fleet.stats.n_clamped_predictions[0]
-        )
-        assert scalar.stats.sum_abs_error == float(fleet.stats.sum_abs_error[0])
-        assert scalar.gate.n_quarantined == int(fleet.gate.n_quarantined[0])
-        assert scalar.gate.n_imputed == int(fleet.gate.n_imputed[0])
+        fticks = [fleet.process_tick(np.array([[v]])) for v in GOLDEN["stream_seed7"]]
+        _assert_matches_golden(f"pred_{forecaster}_", _tick_columns(fticks), fleet)
 
     def test_checkpoint_restore_midstream_stays_identical(self, tmp_path):
-        x = _corrupt_stream(11)
-        scalar = OnlinePredictor("holt", detector=PageHinkley(), **_COMMON)
         fleet = FleetPredictor(1, "holt", detector=PageHinkley(), **_COMMON)
-        srecs, fticks = [], []
-        for i, v in enumerate(x):
-            srecs.append(scalar.process(np.array([v])))
+        fticks = []
+        for i, v in enumerate(GOLDEN["stream_seed11"]):
             fticks.append(fleet.process_tick(np.array([[v]])))
             if i == 150:
-                scalar.save(tmp_path / "scalar.ckpt")
                 fleet.save(tmp_path / "fleet.ckpt")
-                scalar = OnlinePredictor.restore(tmp_path / "scalar.ckpt")
                 fleet = FleetPredictor.restore(tmp_path / "fleet.ckpt")
-        _assert_records_equal(srecs, fticks)
+        _assert_matches_golden("pred_ckpt_", _tick_columns(fticks), fleet)
+
+    def test_online_predictor_records_match_golden(self):
+        """The per-record adapter emits the same records as the fleet."""
+        pred = OnlinePredictor("holt", **_COMMON)
+        recs = pred.run(GOLDEN["stream_seed7"])
+        nan = float("nan")
+        columns = {
+            "step": np.array([r.step for r in recs]),
+            "prediction": np.array([nan if r.prediction is None else r.prediction for r in recs]),
+            "actual": np.array([r.actual for r in recs]),
+            "error": np.array([nan if r.error is None else r.error for r in recs]),
+            "refit": np.array([r.refit for r in recs]),
+            "drift": np.array([r.drift for r in recs]),
+            "gated": np.array([{None: 0, "imputed": 1, "quarantined": 2}[r.gated] for r in recs]),
+        }
+        assert all(r.health is HealthStatus.HEALTHY for r in recs)
+        assert not GOLDEN["pred_holt_health"].any()
+        _assert_matches_golden("pred_holt_", columns, pred.fleet)
 
 
 class TestMultiStream:
@@ -207,46 +246,37 @@ class TestValidation:
             fleet.process_tick(np.zeros((2, 1)))
 
 
-class TestFleetGateParity:
-    @pytest.mark.parametrize(
-        "policy",
-        [
-            None,
-            GatePolicy(impute="mean", outlier_action="clamp", outlier_sigma=3.0),
-            GatePolicy(impute="last", outlier_action="quarantine", outlier_sigma=2.5),
-            GatePolicy(impute="drop"),
-        ],
-    )
-    def test_tick_verdicts_match_scalar_gates(self, policy):
-        """check_tick == running a scalar InputGate per stream, exactly."""
-        streams, features, n = 5, 2, 200
-        rng = np.random.default_rng(17)
-        ticks = rng.normal(10, 2, (n, streams, features))
-        ticks[rng.random(ticks.shape) < 0.03] = np.nan
-        ticks[rng.random((n, streams)) < 0.02] *= 9
+_GATE_POLICIES = [
+    None,
+    GatePolicy(impute="mean", outlier_action="clamp", outlier_sigma=3.0),
+    GatePolicy(impute="last", outlier_action="quarantine", outlier_sigma=2.5),
+    GatePolicy(impute="drop"),
+]
 
+
+class TestFleetGateParity:
+    @pytest.mark.parametrize("policy", _GATE_POLICIES)
+    def test_tick_verdicts_match_scalar_gates(self, policy):
+        """check_tick == the frozen per-stream scalar gates, exactly."""
+        prefix = f"gate{_GATE_POLICIES.index(policy)}_"
+        ticks = GOLDEN["gate_ticks"]
+        streams, features = ticks.shape[1:]
         fleet = FleetGate(streams, features, policy)
-        scalars = [InputGate(features, policy) for _ in range(streams)]
-        action_name = {0: "accept", 1: "impute", 2: "quarantine"}
-        for tick in ticks:
+        actions = np.empty(ticks.shape[:2], dtype=np.int8)
+        records = np.empty(ticks.shape)
+        for t, tick in enumerate(ticks):
             res = fleet.check_tick(tick)
-            for i, gate in enumerate(scalars):
-                sres = gate.check(tick[i])
-                assert action_name[int(res.actions[i])] == sres.action
-                if sres.action != "quarantine":
-                    np.testing.assert_array_equal(res.records[i], sres.record)
-        for i, gate in enumerate(scalars):
-            assert int(fleet.n_accepted[i]) == gate.n_accepted
-            assert int(fleet.n_imputed[i]) == gate.n_imputed
-            assert int(fleet.n_quarantined[i]) == gate.n_quarantined
-            assert fleet.reasons(i) == gate.reasons
+            actions[t] = res.actions
+            records[t] = np.where(res.accepted[:, None], res.records, np.nan)
+        np.testing.assert_array_equal(actions, GOLDEN[prefix + "actions"])
+        np.testing.assert_array_equal(records, GOLDEN[prefix + "records"])
+        counts = np.stack([fleet.n_accepted, fleet.n_imputed, fleet.n_quarantined], axis=1)
+        np.testing.assert_array_equal(counts, GOLDEN[prefix + "counts"])
+        reasons = [[fleet.reasons(i)[r] for r in GOLDEN["reason_names"]] for i in range(streams)]
+        np.testing.assert_array_equal(reasons, GOLDEN[prefix + "reasons"])
         state = fleet.state_dict()
-        np.testing.assert_array_equal(
-            state["mean"], np.array([g.state_dict()["mean"] for g in scalars])
-        )
-        np.testing.assert_array_equal(
-            state["m2"], np.array([g.state_dict()["m2"] for g in scalars])
-        )
+        np.testing.assert_array_equal(state["mean"], GOLDEN[prefix + "mean"])
+        np.testing.assert_array_equal(state["m2"], GOLDEN[prefix + "m2"])
 
 
 class _ExplodingForecaster(Forecaster):
@@ -262,8 +292,41 @@ class _ExplodingForecaster(Forecaster):
         raise RuntimeError("boom")
 
 
+class _NaNForecaster(Forecaster):
+    """Fits fine, always forecasts NaN."""
+
+    name = "nan_forecaster"
+
+    def fit(self, x, y, x_val=None, y_val=None):
+        self.fitted = True
+        return self
+
+    def predict(self, x):
+        return np.full((len(x), 1), np.nan)
+
+
+class _UnfittableForecaster(Forecaster):
+    """Raises at fit time."""
+
+    name = "unfittable"
+
+    def fit(self, x, y, x_val=None, y_val=None):
+        raise RuntimeError("cannot fit")
+
+    def predict(self, x):  # pragma: no cover - never fitted
+        raise AssertionError("unreachable")
+
+
+@pytest.fixture
+def registered(monkeypatch):
+    """Register test forecasters by name for the duration of one test."""
+    from repro.models.base import FORECASTER_REGISTRY
+
+    return lambda cls: monkeypatch.setitem(FORECASTER_REGISTRY, cls.name, cls)
+
+
 class TestFallbackPredictFailures:
-    """Satellite fix: the scalar fallback path must count its own failures."""
+    """The fallback path counts its own failures."""
 
     @staticmethod
     def _break(predictor):
@@ -274,15 +337,15 @@ class TestFallbackPredictFailures:
     def test_scalar_counts_double_failure(self):
         predictor = OnlinePredictor("mean", **_COMMON)
         predictor.run(np.full(40, 0.5))
-        self._break(predictor)
-        before = predictor.stats.n_fallback_predict_failures
+        self._break(predictor.fleet)
+        before = int(predictor.stats.n_fallback_predict_failures[0])
         rec = predictor.process(np.array([0.5]))
         assert rec.prediction is None
-        assert predictor.stats.n_fallback_predict_failures == before + 1
-        assert predictor.stats.n_predict_failures >= 1
+        assert predictor.stats.n_fallback_predict_failures[0] == before + 1
+        assert predictor.stats.n_predict_failures[0] >= 1
         # the counter survives a checkpoint roundtrip
         state = predictor.stats.state_dict()
-        assert state["n_fallback_predict_failures"] == before + 1
+        assert state["n_fallback_predict_failures"][0] == before + 1
 
     def test_fleet_counts_double_failure_per_stream(self):
         predictor = FleetPredictor(2, "mean", **_COMMON)
@@ -293,6 +356,75 @@ class TestFallbackPredictFailures:
         np.testing.assert_array_equal(
             predictor.stats.n_fallback_predict_failures, [1, 1]
         )
+
+    def test_nan_fallback_forecast_is_a_fallback_failure(self, registered):
+        """A dropped non-finite fallback forecast is not a served fallback one."""
+        registered(_ExplodingForecaster)
+        registered(_NaNForecaster)
+        n = 200
+        predictor = FleetPredictor(
+            2, "exploding", fallback_forecaster="nan_forecaster", **_COMMON
+        )
+        out = predictor.run(np.full((n, 2), 0.5) + np.arange(2) * 0.1)
+        st = predictor.stats
+        assert not any(t.served.any() for t in out)
+        np.testing.assert_array_equal(st.n_fallback_predictions, [0, 0])
+        assert st.total_fallback_predictions == 0
+        # every due row: one primary failure, one fallback failure, no double count
+        due = st.n_predict_failures
+        assert (due > 0).all()
+        np.testing.assert_array_equal(st.n_fallback_predict_failures, due)
+        # unserved rows carry the fleet's health, never FALLBACK
+        fallback = 2
+        assert not any((t.health == fallback).any() for t in out)
+
+
+class TestFallbackFitFailures:
+    """A fallback that cannot be fitted is counted, persisted and exported."""
+
+    def _failing_fleet(self, registered, **kwargs):
+        registered(_UnfittableForecaster)
+        return FleetPredictor(
+            2,
+            "holt",
+            fallback_forecaster="unfittable",
+            supervisor_policy=SupervisorPolicy(max_retries=0, backoff_base=0.0),
+            refit_fault_hook=_always_fail,
+            **kwargs,
+            **_COMMON,
+        )
+
+    def test_counted_persisted_and_exported(self, registered):
+        registry = MetricRegistry()
+        fleet = self._failing_fleet(registered, registry=registry)
+        fleet.run(np.full((60, 2), 0.5))
+        n = fleet.stats.n_fallback_fit_failures
+        # every failed primary refit tried (and failed) to fit the fallback
+        assert n == fleet.stats.n_refit_failures > 0
+        assert fleet.fallback_model is None and not fleet.on_fallback
+        series = [
+            s["value"]
+            for s in registry.snapshot()["series"]
+            if s["name"] == "serving_fleet_fallback_fit_failures_total"
+        ]
+        assert series == [float(n)]
+        state = fleet.state_dict()
+        assert state["stats"]["n_fallback_fit_failures"] == n
+        clone = self._failing_fleet(registered, registry=MetricRegistry())
+        clone.load_state_dict(state)
+        assert clone.stats.n_fallback_fit_failures == n
+
+    def test_older_checkpoints_load_as_zero(self, registered):
+        fleet = self._failing_fleet(registered, registry=MetricRegistry())
+        fleet.run(np.full((60, 2), 0.5))
+        state = fleet.state_dict()
+        del state["stats"]["n_fallback_fit_failures"]
+        fleet.load_state_dict(state)
+        assert fleet.stats.n_fallback_fit_failures == 0
+
+
+def _always_fail():
+    raise RuntimeError("injected")
 
 
 class TestMatrixRingBufferEdges:

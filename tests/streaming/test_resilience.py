@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.streaming import (
+    FleetGate,
     GatePolicy,
     HealthStatus,
-    InputGate,
     OnlinePredictor,
     Supervisor,
     SupervisorPolicy,
 )
+from repro.streaming.resilience import GATE_REASONS
+
+_ACTIONS = ("accept", "impute", "quarantine")
 
 
 def _stream(n=400, seed=0):
@@ -19,93 +22,104 @@ def _stream(n=400, seed=0):
     return 0.5 + 0.3 * np.sin(2 * np.pi * t / 50) + rng.normal(0, 0.02, n)
 
 
+def _check(gate, record):
+    """Gate one record as a one-stream tick -> ``(action, record, reason)``."""
+    res = gate.check_tick(np.asarray(record, float)[None, :])
+    return _ACTIONS[res.actions[0]], res.records[0], GATE_REASONS[res.reasons[0]]
+
+
 class TestInputGate:
+    """The input gate's per-record verdicts, on a one-stream FleetGate."""
+
     def test_clean_records_pass_untouched(self):
-        gate = InputGate(2)
+        gate = FleetGate(1, 2)
         rec = np.array([0.5, 0.7])
-        res = gate.check(rec)
-        assert res.action == "accept"
-        np.testing.assert_array_equal(res.record, rec)
-        assert gate.n_accepted == 1 and gate.n_quarantined == 0
+        action, record, _ = _check(gate, rec)
+        assert action == "accept"
+        np.testing.assert_array_equal(record, rec)
+        assert gate.n_accepted[0] == 1 and gate.n_quarantined[0] == 0
 
     def test_all_nan_row_quarantined(self):
-        gate = InputGate(2)
-        gate.check(np.array([0.5, 0.7]))
-        res = gate.check(np.array([np.nan, np.nan]))
-        assert res.action == "quarantine"
-        assert res.record is None
-        assert gate.reasons["empty"] == 1
+        gate = FleetGate(1, 2)
+        _check(gate, [0.5, 0.7])
+        action, _, reason = _check(gate, [np.nan, np.nan])
+        assert action == "quarantine" and reason == "empty"
+        assert gate.reasons(0)["empty"] == 1
 
     def test_partial_nan_imputed_from_last(self):
-        gate = InputGate(2, GatePolicy(impute="last"))
-        gate.check(np.array([0.5, 0.7]))
-        res = gate.check(np.array([np.nan, 0.8]))
-        assert res.action == "impute" and res.reason == "missing"
-        np.testing.assert_allclose(res.record, [0.5, 0.8])
-        assert gate.n_imputed == 1
+        gate = FleetGate(1, 2, GatePolicy(impute="last"))
+        _check(gate, [0.5, 0.7])
+        action, record, reason = _check(gate, [np.nan, 0.8])
+        assert action == "impute" and reason == "missing"
+        np.testing.assert_allclose(record, [0.5, 0.8])
+        assert gate.n_imputed[0] == 1
 
     def test_partial_nan_imputed_from_mean(self):
-        gate = InputGate(1, GatePolicy(impute="mean"))
+        gate = FleetGate(1, 1, GatePolicy(impute="mean"))
         for v in (0.2, 0.4):
-            gate.check(np.array([v]))
-        res = gate.check(np.array([np.nan]))
-        assert res.action == "quarantine"  # univariate all-NaN row is empty
-        gate2 = InputGate(2, GatePolicy(impute="mean"))
-        gate2.check(np.array([0.2, 1.0]))
-        gate2.check(np.array([0.4, 1.0]))
-        res2 = gate2.check(np.array([np.nan, 1.0]))
-        assert res2.action == "impute"
-        np.testing.assert_allclose(res2.record, [0.3, 1.0])
+            _check(gate, [v])
+        action, _, _ = _check(gate, [np.nan])
+        assert action == "quarantine"  # univariate all-NaN row is empty
+        gate2 = FleetGate(1, 2, GatePolicy(impute="mean"))
+        _check(gate2, [0.2, 1.0])
+        _check(gate2, [0.4, 1.0])
+        action2, record2, _ = _check(gate2, [np.nan, 1.0])
+        assert action2 == "impute"
+        np.testing.assert_allclose(record2, [0.3, 1.0])
 
     def test_drop_policy_quarantines_missing(self):
-        gate = InputGate(2, GatePolicy(impute="drop"))
-        gate.check(np.array([0.5, 0.7]))
-        assert gate.check(np.array([np.nan, 0.8])).action == "quarantine"
+        gate = FleetGate(1, 2, GatePolicy(impute="drop"))
+        _check(gate, [0.5, 0.7])
+        assert _check(gate, [np.nan, 0.8])[0] == "quarantine"
 
     def test_no_history_quarantines(self):
-        gate = InputGate(2, GatePolicy(impute="last"))
-        assert gate.check(np.array([np.nan, 0.8])).action == "quarantine"
-        assert gate.reasons["no_history"] == 1
+        gate = FleetGate(1, 2, GatePolicy(impute="last"))
+        assert _check(gate, [np.nan, 0.8])[0] == "quarantine"
+        assert gate.reasons(0)["no_history"] == 1
 
     def test_wrong_arity_quarantined_not_raised(self):
-        gate = InputGate(2)
-        assert gate.check(np.zeros(3)).action == "quarantine"
-        assert gate.check("garbage").action == "quarantine"
-        assert gate.n_quarantined == 2
+        """Malformed records reach the gate as all-NaN rows via the predictor."""
+        pred = OnlinePredictor("mean", window=4, buffer_capacity=20, features=2)
+        for record in (np.zeros(3), "garbage", None):
+            rec = pred.process(record)
+            assert rec.gated == "quarantined"
+            assert np.isnan(rec.actual)
+        assert pred.gate.n_quarantined[0] == 3
+        assert pred.gate.reasons(0) == {"empty": 3}
 
     def test_outlier_quarantine_stays_adaptive(self):
         """Quarantined spikes must not freeze the running band (regime shifts
         would otherwise be quarantined forever)."""
-        gate = InputGate(1, GatePolicy(outlier_sigma=4.0, outlier_action="quarantine"))
+        gate = FleetGate(1, 1, GatePolicy(outlier_sigma=4.0, outlier_action="quarantine"))
         rng = np.random.default_rng(0)
         for v in 0.5 + rng.normal(0, 0.05, 100):
-            gate.check(np.array([v]))
-        assert gate.check(np.array([50.0])).action == "quarantine"
-        assert gate.reasons["outlier"] == 1
+            _check(gate, [v])
+        assert _check(gate, [50.0])[0] == "quarantine"
+        assert gate.reasons(0)["outlier"] == 1
         # a persistent (legitimate) shift is re-admitted once the band adapts
-        admitted = [gate.check(np.array([2.0 + e])).action for e in rng.normal(0, 0.05, 200)]
+        admitted = [_check(gate, [2.0 + e])[0] for e in rng.normal(0, 0.05, 200)]
         assert "accept" in admitted
 
     def test_outlier_clamp_bounds_value(self):
-        gate = InputGate(1, GatePolicy(outlier_sigma=3.0, outlier_action="clamp"))
+        gate = FleetGate(1, 1, GatePolicy(outlier_sigma=3.0, outlier_action="clamp"))
         rng = np.random.default_rng(1)
         for v in 0.5 + rng.normal(0, 0.05, 100):
-            gate.check(np.array([v]))
-        res = gate.check(np.array([100.0]))
-        assert res.action == "impute" and res.reason == "outlier"
-        assert res.record[0] < 1.5
+            _check(gate, [v])
+        action, record, reason = _check(gate, [100.0])
+        assert action == "impute" and reason == "outlier"
+        assert record[0] < 1.5
 
     def test_state_roundtrip(self):
-        gate = InputGate(2, GatePolicy(outlier_sigma=4.0))
+        gate = FleetGate(1, 2, GatePolicy(outlier_sigma=4.0))
         rng = np.random.default_rng(2)
         for _ in range(50):
-            gate.check(rng.random(2))
-        gate.check(np.array([np.nan, 0.5]))
-        clone = InputGate(2, GatePolicy(outlier_sigma=4.0))
+            _check(gate, rng.random(2))
+        _check(gate, [np.nan, 0.5])
+        clone = FleetGate(1, 2, GatePolicy(outlier_sigma=4.0))
         clone.load_state_dict(gate.state_dict())
         rec = np.array([0.4, 0.6])
-        assert clone.check(rec).action == gate.check(rec).action
-        assert clone.n_imputed == gate.n_imputed
+        assert _check(clone, rec)[0] == _check(gate, rec)[0]
+        assert clone.n_imputed[0] == gate.n_imputed[0]
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -204,7 +218,7 @@ class TestNaNPoisoning:
         assert len(quarantined) == 10
         assert all(r.prediction is None for r in quarantined)
         # no NaN ever reached the rolling buffer
-        assert np.isfinite(pred.buffer.view()).all()
+        assert np.isfinite(pred.fleet.buffer.view(0)).all()
 
     def test_nan_cell_imputed_in_multivariate_stream(self):
         base = _stream(200)
@@ -217,7 +231,7 @@ class TestNaNPoisoning:
         results = pred.run(records)
         assert pred.gate.n_imputed == 1
         assert results[100].gated == "imputed"
-        assert np.isfinite(pred.buffer.view()).all()
+        assert np.isfinite(pred.fleet.buffer.view(0)).all()
 
 
 class TestFallbackAndHealth:
@@ -231,8 +245,8 @@ class TestFallbackAndHealth:
         )
         results = pred.run(_stream(200))
         # primary never fits -> fallback serves everything past warmup
-        assert pred.model is None
-        assert pred.on_fallback
+        assert pred.fleet.model is None
+        assert pred.fleet.on_fallback
         assert pred.health is HealthStatus.FALLBACK
         assert pred.stats.n_refit_failures >= 1
         served = [r for r in results if r.prediction is not None]
@@ -258,7 +272,7 @@ class TestFallbackAndHealth:
             refit_fault_hook=fail_first_two,
         )
         results = pred.run(_stream(300))
-        assert pred.model is not None
+        assert pred.fleet.model is not None
         assert pred.health is HealthStatus.HEALTHY
         assert results[-1].health is HealthStatus.HEALTHY
         assert pred.stats.n_refit_failures == 2
@@ -285,7 +299,7 @@ class TestFallbackAndHealth:
         ])
         pred.run(stream)
         # whatever the model wanted to emit, served values stayed in-band
-        errors_ok = all(e < 20 for e in pred.stats.errors)
+        errors_ok = all(e < 20 for e in pred.stats.recent_errors(0))
         assert errors_ok
         assert pred.stats.n_clamped_predictions >= 1
 
@@ -297,13 +311,5 @@ class TestBoundedErrorHistory:
             error_history=64,
         )
         pred.run(_stream(400))
-        assert len(pred.stats.errors) == 64
-        assert pred.stats.n_predictions > 300  # aggregate stats keep counting
-
-    def test_full_retention_opt_in(self):
-        pred = OnlinePredictor(
-            "holt", window=6, buffer_capacity=150, refit_interval=60, min_fit_size=20,
-            error_history=None,
-        )
-        pred.run(_stream(300))
-        assert len(pred.stats.errors) == pred.stats.n_predictions
+        assert len(pred.stats.recent_errors(0)) == 64
+        assert pred.stats.n_predictions[0] > 300  # aggregate stats keep counting

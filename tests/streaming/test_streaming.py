@@ -3,45 +3,52 @@
 import numpy as np
 import pytest
 
-from repro.streaming import OnlinePredictor, PageHinkley, RollingBuffer
+from repro.streaming import MatrixRingBuffer, OnlinePredictor, PageHinkley
 
 
 class TestRollingBuffer:
+    """One stream's rolling history, held in a MatrixRingBuffer."""
+
+    @staticmethod
+    def _append(buf, record):
+        buf.append_tick(np.asarray(record, float)[None, :])
+
     def test_append_and_view_order(self):
-        buf = RollingBuffer(3, 1)
+        buf = MatrixRingBuffer(1, 3, 1)
         for v in (1.0, 2.0):
-            buf.append(np.array([v]))
-        np.testing.assert_array_equal(buf.view()[:, 0], [1.0, 2.0])
-        assert len(buf) == 2 and not buf.full
+            self._append(buf, [v])
+        np.testing.assert_array_equal(buf.view(0)[:, 0], [1.0, 2.0])
+        assert len(buf) == 2 and buf.sizes[0] < buf.capacity
 
     def test_wraparound_keeps_newest(self):
-        buf = RollingBuffer(3, 1)
+        buf = MatrixRingBuffer(1, 3, 1)
         for v in range(5):
-            buf.append(np.array([float(v)]))
-        np.testing.assert_array_equal(buf.view()[:, 0], [2.0, 3.0, 4.0])
-        assert buf.full
+            self._append(buf, [float(v)])
+        np.testing.assert_array_equal(buf.view(0)[:, 0], [2.0, 3.0, 4.0])
+        assert buf.sizes[0] == buf.capacity
 
     def test_last_n(self):
-        buf = RollingBuffer(4, 2)
-        buf.extend(np.arange(8.0).reshape(4, 2))
-        np.testing.assert_array_equal(buf.last(2), [[4.0, 5.0], [6.0, 7.0]])
+        buf = MatrixRingBuffer(1, 4, 2)
+        for row in np.arange(8.0).reshape(4, 2):
+            self._append(buf, row)
+        np.testing.assert_array_equal(buf.last_windows(np.array([0]), 2)[0], [[4.0, 5.0], [6.0, 7.0]])
         with pytest.raises(ValueError):
-            buf.last(5)
+            buf.last_windows(np.array([0]), 5)
 
     def test_shape_validation(self):
-        buf = RollingBuffer(3, 2)
+        buf = MatrixRingBuffer(1, 3, 2)
         with pytest.raises(ValueError):
-            buf.append(np.zeros(3))
+            buf.append_tick(np.zeros((1, 3)))
 
     def test_clear(self):
-        buf = RollingBuffer(3, 1)
-        buf.append(np.array([1.0]))
+        buf = MatrixRingBuffer(1, 3, 1)
+        self._append(buf, [1.0])
         buf.clear()
         assert len(buf) == 0
 
     def test_ctor_validation(self):
         with pytest.raises(ValueError):
-            RollingBuffer(0, 1)
+            MatrixRingBuffer(1, 0, 1)
 
 
 class TestPageHinkley:
