@@ -9,6 +9,13 @@ writes an ops/sec snapshot to ``BENCH_kernels.json`` at the repo root, so
 successive PRs accumulate a kernel-throughput trajectory:
 
     python -m pytest benchmarks -m perf_smoke -q
+
+Its ``inference_plan`` block times the compiled inference plan against
+the eager forward (``eval()`` + ``no_grad()``, the whole batch in one
+call) at the 4096-row batch of a 4096-stream fleet tick, for the mlp
+served by the fleet benchmark, the gru and the paper's rptcn. The mlp
+plan must be at least ``MIN_PLAN_SPEEDUP`` times the eager rows/s; the
+other two are reported, not gated.
 """
 
 import json
@@ -19,11 +26,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ._machine import machine_info
+from repro.data.windowing import make_windows
+from repro.models import create_forecaster
 from repro.models.arima import ARIMA
 from repro.models.gbt import GradientBoostedTrees
 from repro.nn import functional as F
+from repro.nn import compile_inference
 from repro.nn.layers import LSTM
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
+
+#: rows per forward: one tick of a 4096-stream fleet
+PLAN_BATCH = 4096
+#: the mlp plan's floor over the eager forward, in rows/s
+MIN_PLAN_SPEEDUP = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +71,6 @@ def test_bench_lstm_forward(benchmark, rng):
     layer = LSTM(8, 32, rng=rng)
     layer.eval()
     x = Tensor(rng.random((32, 12, 8)))
-
-    from repro.nn.tensor import no_grad
 
     def fwd():
         with no_grad():
@@ -107,6 +121,42 @@ def _ops_per_sec(fn, min_time: float = 0.25) -> float:
     return calls / elapsed
 
 
+def _plan_vs_eager(name: str, rounds: int) -> dict:
+    """Eager vs compiled-plan rows/s of a fitted forecaster's network.
+
+    The two sides alternate, ``rounds`` calls each, and each side keeps its
+    median call time; both see the same (window 12, 2 features) batch.
+    """
+    rng = np.random.default_rng(7)
+    series = 0.5 + 0.01 * rng.standard_normal((600, 2)).cumsum(axis=0)
+    x, y = make_windows(series, series[:, 0], 12, horizon=1)
+    net = create_forecaster(name, epochs=1, seed=0).fit(x[:256], y[:256]).model
+    batch = np.resize(x, (PLAN_BATCH,) + x.shape[1:])
+    plan = compile_inference(net, PLAN_BATCH, batch.shape[1:])
+
+    def eager():
+        net.eval()
+        with no_grad():
+            return net(Tensor(batch)).data
+
+    np.testing.assert_array_equal(plan(batch), eager())
+    times: dict[str, list[float]] = {"eager": [], "plan": []}
+    for _ in range(rounds):
+        for side, fn in (("eager", eager), ("plan", lambda: plan(batch))):
+            t0 = time.perf_counter()
+            fn()
+            times[side].append(time.perf_counter() - t0)
+    eager_rps = PLAN_BATCH / float(np.median(times["eager"]))
+    plan_rps = PLAN_BATCH / float(np.median(times["plan"]))
+    return {
+        "eager_rows_per_sec": round(eager_rps, 1),
+        "plan_rows_per_sec": round(plan_rps, 1),
+        "speedup": round(plan_rps / eager_rps, 3),
+        "plan_ops": len(plan),
+        "plan_buffers": plan.n_buffers,
+    }
+
+
 @pytest.mark.perf_smoke
 def test_perf_smoke_kernel_snapshot(rng):
     """Quick ops/sec snapshot of the substrate hot paths -> BENCH_kernels.json.
@@ -116,7 +166,6 @@ def test_perf_smoke_kernel_snapshot(rng):
     ``RPTCN_BENCH_LABEL`` env var (default ``working-tree``) so each PR can
     record its own row next to its predecessors.
     """
-    from repro.nn.tensor import no_grad
     from repro.streaming import OnlinePredictor, PageHinkley
     from repro.traces import ClusterTraceGenerator, TraceConfig
 
@@ -157,12 +206,19 @@ def test_perf_smoke_kernel_snapshot(rng):
     predictor.run(stream)
     serving_throughput = len(stream) / (time.perf_counter() - t0)
 
+    plans = {
+        f"inference_plan_{name}": _plan_vs_eager(name, rounds)
+        for name, rounds in (("mlp", 31), ("gru", 5), ("rptcn", 5))
+    }
+
     snapshot = {
+        **machine_info(),
         "shapes": {
             "conv1d_forward": "x(32,16,64) w(16,16,3) pad=(4,0) dil=2",
             "conv1d_backward": "x(16,8,64) w(8,8,3) pad=(4,0) dil=2 (incl. fwd+loss)",
             "lstm_forward": "LSTM(8->32) x(32,12,8) no_grad",
             "online_serving": "holt predictor, 400-step mutation stream",
+            "inference_plan": f"default net, window 12, 2 features, batch {PLAN_BATCH}",
         },
         "ops_per_sec": {
             "conv1d_forward": round(conv_fwd, 1),
@@ -170,6 +226,7 @@ def test_perf_smoke_kernel_snapshot(rng):
             "lstm_forward": round(lstm_fwd_ops, 1),
             "online_serving_records_per_sec": round(serving_throughput, 1),
         },
+        "inference_plan": plans,
     }
 
     path = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
@@ -182,6 +239,7 @@ def test_perf_smoke_kernel_snapshot(rng):
 
     assert conv_fwd > 0 and conv_bwd > 0 and lstm_fwd_ops > 0
     assert serving_throughput > 100.0
+    assert plans["inference_plan_mlp"]["speedup"] >= MIN_PLAN_SPEEDUP, plans
 
 
 def test_bench_pipeline_prepare(benchmark):

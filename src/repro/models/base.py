@@ -21,6 +21,7 @@ import numpy as np
 from ..nn.losses import MSELoss
 from ..nn.module import Module
 from ..nn.optim import Adam
+from ..nn.plan import InferencePlan, compile_inference
 from ..training.callbacks import EarlyStopping
 from ..training.trainer import Trainer, TrainingHistory
 
@@ -176,6 +177,12 @@ def create_forecaster(name: str, **kwargs) -> Forecaster:
     return cls(**kwargs)
 
 
+#: the largest batch one inference plan is built for; bigger predict calls
+#: run through it in chunks of this many rows (a 4096-stream fleet serves
+#: each tick in one pass)
+PLAN_MAX_BATCH = 4096
+
+
 class NeuralForecaster(Forecaster):
     """Shared training plumbing for the deep models.
 
@@ -183,7 +190,16 @@ class NeuralForecaster(Forecaster):
     ``(N, window, features)`` tensors to ``(N, horizon)``. Training follows
     the paper's recipe: Adam + MSE, EarlyStopping(patience=10) on
     validation loss with best-weight restore.
+
+    :meth:`predict` serves through a compiled
+    :class:`~repro.nn.plan.InferencePlan`, built lazily on the first call
+    after the weights last changed (:meth:`fit`, :meth:`warm_fit`; a
+    restored or swapped-in forecaster is a new object and starts without
+    one). The plan is never pickled, so checkpoints and refit transfers
+    carry weights only.
     """
+
+    _plan: InferencePlan | None = None
 
     def __init__(
         self,
@@ -223,6 +239,7 @@ class NeuralForecaster(Forecaster):
         y_val: np.ndarray | None = None,
     ) -> "NeuralForecaster":
         self._check_xy(x, y)
+        self._plan = None
         rng = np.random.default_rng(self.seed)
         _, window, features = x.shape
         self._fit_shape = (window, features)
@@ -279,6 +296,7 @@ class NeuralForecaster(Forecaster):
         ):
             return self.fit(x, y, x_val, y_val)
         self._check_xy(x, y)
+        self._plan = None
         budget = int(epochs) if epochs is not None else max(1, self.epochs // 4)
         if budget < 1:
             raise ValueError(f"epochs must be >= 1, got {budget}")
@@ -306,8 +324,27 @@ class NeuralForecaster(Forecaster):
     def predict(self, x: np.ndarray) -> np.ndarray:
         self._check_fitted()
         self._check_xy(x)
-        assert self.trainer is not None
-        return self.trainer.predict(x)
+        x = np.asarray(x)
+        plan = self._inference_plan(len(x), x.shape[1:])
+        step = plan.max_batch
+        if len(x) <= step:
+            return plan(x)
+        return np.concatenate([plan(x[i : i + step]) for i in range(0, len(x), step)])
+
+    def _inference_plan(self, rows: int, row_shape: tuple[int, ...]) -> InferencePlan:
+        """The current plan, (re)compiled if missing or too small for ``rows``."""
+        want = min(1 << max(rows - 1, 0).bit_length(), PLAN_MAX_BATCH)
+        plan = self._plan
+        if plan is None or plan.row_shape != row_shape or plan.max_batch < want:
+            assert self.model is not None
+            plan = self._plan = compile_inference(self.model, want, row_shape)
+        return plan
+
+    def __getstate__(self) -> dict:
+        # the plan is process-local scratch derived from the weights
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        return state
 
     @property
     def loss_curves(self) -> dict[str, list[float]]:

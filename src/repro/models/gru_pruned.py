@@ -159,6 +159,7 @@ class PrunedGRUForecaster(NeuralForecaster):
         ):
             return self.fit(x, y, x_val, y_val)
         self._check_xy(x, y)
+        self._plan = None
         budget = int(epochs) if epochs is not None else max(1, self.epochs // 4)
         self._masked_epochs(x, y, x_val, y_val, budget)
         return self

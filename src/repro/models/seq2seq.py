@@ -45,7 +45,7 @@ class _Seq2SeqNet(Module):
     def forward(self, x: Tensor) -> Tensor:
         states = self.encoder(x)  # (N, T, H)
         h = states[:, -1, :]
-        c = Tensor(np.zeros_like(h.data))
+        c = Tensor.row_zeros(h, h.shape[1])
         # the decoder is primed with the window's last target value
         prev = x[:, -1, self.target_col : self.target_col + 1]
 

@@ -6,7 +6,7 @@ reverse-mode autodiff (:mod:`repro.nn.tensor`), layers
 architecture and its deep baselines need, with vectorized NumPy kernels.
 """
 
-from . import functional, init, optim
+from . import functional, init, kernels, optim
 from .layers import (
     ELU,
     GELU,
@@ -42,6 +42,7 @@ from .layers import (
 from .init import default_rng, set_default_seed
 from .losses import HuberLoss, MAELoss, MSELoss
 from .module import Module, Parameter
+from .plan import InferencePlan, TraceError, compile_inference
 from .tensor import (
     Tensor,
     dtype_policy,
@@ -62,6 +63,9 @@ __all__ = [
     "default_rng",
     "Module",
     "Parameter",
+    "compile_inference",
+    "InferencePlan",
+    "TraceError",
     "functional",
     "init",
     "optim",

@@ -2,16 +2,18 @@
 
 The heavy ops here are :func:`conv1d` and :func:`lstm`. The convolution is
 an explicit im2col gather (a memoized strided index array from
-:mod:`repro.nn._plans`) followed by a single ``einsum`` contraction with a
-cached contraction path; the input gradient is a loop-free col2im fold
-(one strided-view accumulation per kernel tap) rather than an
-``np.add.at`` scatter. The LSTM is a fused sequence kernel: one gate
-matmul over the whole ``(N, T, C)`` input, a NumPy-only recurrent loop,
-and a hand-written BPTT backward — no per-step Tensor allocation.
+:mod:`repro.nn._plans`) followed by a single batched GEMM; the input
+gradient is a loop-free col2im fold (one strided-view accumulation per
+kernel tap) rather than an ``np.add.at`` scatter. The LSTM is a fused
+sequence kernel: one gate matmul over the whole ``(N, T, C)`` input, a
+NumPy-only recurrent loop, and a hand-written BPTT backward — no per-step
+Tensor allocation.
 
-Every op with a nontrivial graph closure also has an inference fast path:
-when autograd is off (or no parent requires grad) the op returns a
-constant Tensor and skips closure/parent bookkeeping entirely.
+The forward arithmetic of every op lives in :mod:`repro.nn.kernels`.
+When autograd is off (or no parent requires grad), :func:`linear`,
+:func:`conv1d` and :func:`lstm` call their inference kernel and return a
+constant Tensor — the same kernel a compiled
+:class:`~repro.nn.plan.InferencePlan` replays on its own buffers.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _plans
+from . import kernels as K
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
@@ -72,30 +75,23 @@ def conv1d(
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
 
-    xp = x.data
-    if pad_l or pad_r:
-        # np.pad's generality costs ~4x a zeros-plus-slice-assign here
-        padded = np.zeros((n, c_in, length + pad_l + pad_r), dtype=xp.dtype)
-        padded[:, :, pad_l : pad_l + length] = xp
-        xp = padded
-    flat_idx, l_out = _plans.gather_indices_flat(xp.shape[-1], k, dilation, stride)
-    # np.take with the raveled index keeps the gather C-contiguous, so this
-    # reshape to the GEMM layout (N, C_in*K, L_out) is a free view; the
-    # contraction "oik,nikt->not" is then a batched GEMM, which beats even a
-    # path-cached einsum (einsum re-parses subscripts on every call)
-    cols2 = np.take(xp, flat_idx, axis=2).reshape(n, c_in * k, l_out)
+    # the contraction "oik,nikt->not" as a batched GEMM over the im2col
+    # columns, which beats even a path-cached einsum (einsum re-parses its
+    # subscripts on every call)
     w2 = weight.data.reshape(c_out, c_in * k)
-    out = np.matmul(w2, cols2)  # (N, C_out, L_out)
-    if bias is not None:
-        out += bias.data[None, :, None]
-
+    b = None if bias is None else bias.data
     requires = is_grad_enabled() and (
         x.requires_grad
         or weight.requires_grad
         or (bias is not None and bias.requires_grad)
     )
     if not requires:
-        return Tensor(out)
+        static = dict(pad_l=pad_l, pad_r=pad_r, kernel_size=k, dilation=dilation, stride=stride)
+        out = K.conv1d(x.data, w2, b, **static)
+        return Tensor._from_op(out, (), None, K.conv1d, (x, w2, b), **static)
+
+    cols2 = K.im2col(x.data, pad_l, pad_r, k, dilation, stride)
+    out = K.conv_gemm(w2, cols2, b)  # (N, C_out, L_out)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
@@ -166,9 +162,7 @@ def avg_pool1d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = K.softmax(x.data, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -176,21 +170,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             dot = (grad * out).sum(axis=axis, keepdims=True)
             x._accumulate(out * (grad - dot))
 
-    return Tensor._from_op(out, (x,), backward)
+    return Tensor._from_op(out, (x,), backward, K.softmax, axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """log(softmax(x)) computed stably."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+    out = K.log_softmax(x.data, axis=axis)
     soft = np.exp(out)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
 
-    return Tensor._from_op(out, (x,), backward)
+    return Tensor._from_op(out, (x,), backward, K.log_softmax, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +233,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             or (bias is not None and bias.requires_grad)
         )
     ):
-        # inference fast path: one GEMM, no transpose node, no graph wiring
-        out = x.data @ weight.data.T
-        if bias is not None:
-            out += bias.data
-        return Tensor(out)
+        # inference kernel: one GEMM, no transpose node, no graph wiring
+        w_t = weight.data.T
+        b = None if bias is None else bias.data
+        return Tensor._from_op(K.linear(x.data, w_t, b), (), None, K.linear, (x, w_t, b))
     out = x @ weight.transpose()
     if bias is not None:
         out = out + bias
@@ -255,18 +246,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused LSTM sequence kernel
 # ---------------------------------------------------------------------------
-
-
-def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic on a raw array.
-
-    ``exp(-|x|)`` never overflows, and the two ``np.where`` branches are the
-    exact expressions of the piecewise-stable form (``1/(1+e^-x)`` for
-    ``x >= 0``, ``e^x/(1+e^x)`` otherwise) — element-wise identical to
-    :meth:`Tensor.sigmoid`, but with no boolean fancy indexing.
-    """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def lstm(
@@ -290,6 +269,7 @@ def lstm(
     n, t, _ = x.shape
     h_size = w_hh.shape[-1]
     xp = x.data
+    wih_t, whh_t = w_ih.data.T, w_hh.data.T
 
     if state is not None:
         h0, c0 = Tensor.ensure(state[0]), Tensor.ensure(state[1])
@@ -299,32 +279,17 @@ def lstm(
         h_prev0 = np.zeros((n, h_size), dtype=xp.dtype)
         c_prev0 = np.zeros((n, h_size), dtype=xp.dtype)
 
-    # one GEMM for the whole sequence's input projection (bias folded in)
-    gates_x = xp.reshape(n * t, -1) @ w_ih.data.T
-    gates_x += bias.data
-    gates_x = gates_x.reshape(n, t, 4 * h_size)
-    whh_t = w_hh.data.T
-
     parents = [x, w_ih, w_hh, bias] + ([h0, c0] if h0 is not None else [])
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-
-    hs = np.empty((n, t, h_size), dtype=xp.dtype)
-    h, c = h_prev0, c_prev0
-
     if not requires:
-        # inference fast path: nothing stashed, nothing wired
-        for step in range(t):
-            g_all = gates_x[:, step] + h @ whh_t
-            i_f = _sigmoid_arr(g_all[:, : 2 * h_size])
-            i, f = i_f[:, :h_size], i_f[:, h_size:]
-            g = np.tanh(g_all[:, 2 * h_size : 3 * h_size])
-            o = _sigmoid_arr(g_all[:, 3 * h_size :])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            hs[:, step] = h
-        return Tensor(hs)
+        # inference kernel: nothing stashed, nothing wired
+        out = K.lstm(xp, wih_t, whh_t, bias.data, h_prev0, c_prev0)
+        return Tensor._from_op(out, (), None, K.lstm, (x, wih_t, whh_t, bias, h0, c0))
 
     # training path: stash post-activation gates and cell states for BPTT
+    gates_x = K.lstm_input_gates(xp, wih_t, bias.data)
+    hs = np.empty((n, t, h_size), dtype=xp.dtype)
+    h, c = h_prev0, c_prev0
     ia = np.empty((n, t, h_size), dtype=xp.dtype)
     fa = np.empty_like(ia)
     ga = np.empty_like(ia)
@@ -332,14 +297,7 @@ def lstm(
     ca = np.empty_like(ia)
     tca = np.empty_like(ia)
     for step in range(t):
-        g_all = gates_x[:, step] + h @ whh_t
-        i_f = _sigmoid_arr(g_all[:, : 2 * h_size])
-        i, f = i_f[:, :h_size], i_f[:, h_size:]
-        g = np.tanh(g_all[:, 2 * h_size : 3 * h_size])
-        o = _sigmoid_arr(g_all[:, 3 * h_size :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
+        i, f, g, o, c, tc, h = K.lstm_step(gates_x[:, step], h, c, whh_t)
         ia[:, step], fa[:, step], ga[:, step], oa[:, step] = i, f, g, o
         ca[:, step], tca[:, step] = c, tc
         hs[:, step] = h

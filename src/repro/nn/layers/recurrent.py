@@ -45,11 +45,9 @@ class LSTMCell(Module):
     def forward(
         self, x: Tensor, state: tuple[Tensor, Tensor] | None = None
     ) -> tuple[Tensor, Tensor]:
-        n = x.shape[0]
         h_size = self.hidden_size
         if state is None:
-            h = Tensor(np.zeros((n, h_size)))
-            c = Tensor(np.zeros((n, h_size)))
+            h = c = Tensor.row_zeros(x, h_size)
         else:
             h, c = state
 
@@ -132,9 +130,8 @@ class GRUCell(Module):
         return (1.0 - z) * new + z * h
 
     def forward(self, x: Tensor, h: Tensor | None = None) -> Tensor:
-        n = x.shape[0]
         if h is None:
-            h = Tensor(np.zeros((n, self.hidden_size)))
+            h = Tensor.row_zeros(x, self.hidden_size)
         gi = x @ self.w_ih.T + self.b_ih
         return self._step(gi, h)
 
@@ -177,7 +174,7 @@ class GRU(Module):
             gi_seq = (
                 out.reshape(n * t, out.shape[-1]) @ cell.w_ih.T + cell.b_ih
             ).reshape(n, t, 3 * hs)
-            h = Tensor(np.zeros((n, hs), dtype=out.data.dtype))
+            h = Tensor.row_zeros(out, hs)
             outputs = []
             for step in range(t):
                 h = cell._step(gi_seq[:, step, :], h)

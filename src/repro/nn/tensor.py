@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import kernels as K
+
 __all__ = [
     "Tensor",
     "no_grad",
@@ -56,6 +58,11 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether autograd graph recording is currently active."""
     return _GRAD_ENABLED
+
+
+#: the recorder of :func:`repro.nn.plan.compile_inference` while it traces a
+#: forward, ``None`` otherwise — every op reports its kernel and operands to it
+_TRACER = None
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +188,27 @@ class Tensor:
     def _from_op(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray], None] | None,
+        kernel: Callable | None = None,
+        operands: Sequence | None = None,
+        **static,
     ) -> "Tensor":
-        """Build the result Tensor of an op, wiring the graph if needed."""
+        """Build the result Tensor of an op, wiring the graph if needed.
+
+        ``kernel`` (from :mod:`repro.nn.kernels`, or a numpy ufunc) is the
+        function that computed ``data`` from ``operands`` (default: the
+        parents' arrays) and ``static``; a trace records the call so an
+        inference plan can replay it. An op without a kernel cannot be
+        traced on a live value.
+        """
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=False)
         out.requires_grad = requires
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
+        if _TRACER is not None:
+            _TRACER.record(kernel, parents if operands is None else operands, static, out)
         return out
 
     @staticmethod
@@ -302,7 +321,7 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = Tensor.ensure(other)
-        data = self.data + other.data
+        data = np.add(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -310,13 +329,13 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad, other.data.shape))
 
-        return Tensor._from_op(data, (self, other), backward)
+        return Tensor._from_op(data, (self, other), backward, np.add)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor.ensure(other)
-        data = self.data * other.data
+        data = np.multiply(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -324,13 +343,13 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
 
-        return Tensor._from_op(data, (self, other), backward)
+        return Tensor._from_op(data, (self, other), backward, np.multiply)
 
     __rmul__ = __mul__
 
     def __sub__(self, other) -> "Tensor":
         other = Tensor.ensure(other)
-        data = self.data - other.data
+        data = np.subtract(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -338,14 +357,14 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad, other.data.shape))
 
-        return Tensor._from_op(data, (self, other), backward)
+        return Tensor._from_op(data, (self, other), backward, np.subtract)
 
     def __rsub__(self, other) -> "Tensor":
         return Tensor.ensure(other) - self
 
     def __truediv__(self, other) -> "Tensor":
         other = Tensor.ensure(other)
-        data = self.data / other.data
+        data = np.true_divide(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -355,34 +374,34 @@ class Tensor:
                     _unbroadcast(-grad * self.data / (other.data**2), other.data.shape)
                 )
 
-        return Tensor._from_op(data, (self, other), backward)
+        return Tensor._from_op(data, (self, other), backward, np.true_divide)
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor.ensure(other) / self
 
     def __neg__(self) -> "Tensor":
-        data = -self.data
+        data = np.negative(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(-grad)
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, np.negative)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp(log(x) * y)")
-        data = self.data**exponent
+        data = K.power(self.data, exponent)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, K.power, exponent=exponent)
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor.ensure(other)
-        data = self.data @ other.data
+        data = np.matmul(self.data, other.data)
 
         a, b = self, other
 
@@ -410,7 +429,7 @@ class Tensor:
                     gb = np.swapaxes(ad, -1, -2) @ grad
                 b._accumulate(_unbroadcast(gb, bd.shape))
 
-        return Tensor._from_op(data, (self, other), backward)
+        return Tensor._from_op(data, (self, other), backward, np.matmul)
 
     def __rmatmul__(self, other) -> "Tensor":
         return Tensor.ensure(other) @ self
@@ -442,7 +461,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * data)
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, np.exp)
 
     def log(self) -> "Tensor":
         data = np.log(self.data)
@@ -451,7 +470,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad / self.data)
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, np.log)
 
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
@@ -460,7 +479,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * 0.5 / data)
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, np.sqrt)
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
@@ -469,31 +488,25 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * (1.0 - data**2))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, np.tanh)
 
     def sigmoid(self) -> "Tensor":
-        # numerically stable logistic: exp(-|x|) never overflows, and the
-        # where-branches are the exact piecewise expressions (no fancy
-        # indexing, which costs more than the arithmetic at these sizes)
-        x = self.data
-        ex = np.exp(-np.abs(x))
-        data = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        data = K.sigmoid(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * data * (1.0 - data))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, K.sigmoid)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = np.where(mask, self.data, 0.0)
+        data = K.relu(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * (self.data > 0))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, K.relu)
 
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
@@ -502,22 +515,22 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * np.sign(self.data))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, np.abs)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        data = np.clip(self.data, lo, hi)
+        data = K.clip(self.data, lo, hi)
         mask = (self.data >= lo) & (self.data <= hi)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, K.clip, lo=lo, hi=hi)
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+        data = K.reduce_sum(self.data, axis=axis, keepdims=keepdims)
         in_shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
@@ -531,7 +544,9 @@ class Tensor:
                 g = g.reshape(shape)
             self._accumulate(np.broadcast_to(g, in_shape).copy())
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(
+            data, (self,), backward, K.reduce_sum, axis=axis, keepdims=keepdims
+        )
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -547,7 +562,7 @@ class Tensor:
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
+        data = K.reduce_max(self.data, axis=axis, keepdims=keepdims)
         in_shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
@@ -569,7 +584,9 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate(np.where(mask, g / counts, 0.0))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(
+            data, (self,), backward, K.reduce_max, axis=axis, keepdims=keepdims
+        )
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -586,7 +603,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(in_shape))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, K.reshape, tail=data.shape[1:])
 
     def flatten_from(self, start_axis: int = 1) -> "Tensor":
         """Flatten all axes from ``start_axis`` onward (Keras Flatten)."""
@@ -598,14 +615,14 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        data = self.data.transpose(axes)
+        data = K.transpose(self.data, axes)
         inverse = tuple(np.argsort(axes))
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad.transpose(inverse))
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, K.transpose, axes=axes)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.data.ndim))
@@ -613,8 +630,9 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, idx) -> "Tensor":
-        data = self.data[idx]
         basic = _is_basic_index(idx)
+        kernel = K.getitem if basic else K.gather
+        data = kernel(self.data, idx)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -625,11 +643,11 @@ class Tensor:
                     np.add.at(full, idx, grad)
                 self._accumulate(full)
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, kernel, index=idx)
 
     def pad(self, pad_width) -> "Tensor":
         """Zero-pad; ``pad_width`` follows ``np.pad`` conventions."""
-        data = np.pad(self.data, pad_width)
+        data = K.pad(self.data, pad_width)
         slices = tuple(
             slice(before, before + dim)
             for (before, _), dim in zip(pad_width, self.data.shape)
@@ -639,14 +657,14 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad[slices])
 
-        return Tensor._from_op(data, (self,), backward)
+        return Tensor._from_op(data, (self,), backward, K.pad, pad_width=pad_width)
 
     # -- static combinators ----------------------------------------------------
 
     @staticmethod
     def concatenate(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor.ensure(t) for t in tensors]
-        data = np.concatenate([t.data for t in tensors], axis=axis)
+        data = K.concatenate(*[t.data for t in tensors], axis=axis)
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
@@ -657,12 +675,12 @@ class Tensor:
                     idx[axis] = slice(start, stop)
                     t._accumulate(grad[tuple(idx)])
 
-        return Tensor._from_op(data, tensors, backward)
+        return Tensor._from_op(data, tensors, backward, K.concatenate, axis=axis)
 
     @staticmethod
     def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor.ensure(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
+        data = K.stack(*[t.data for t in tensors], axis=axis)
 
         def backward(grad: np.ndarray) -> None:
             moved = np.moveaxis(grad, axis, 0)
@@ -670,13 +688,13 @@ class Tensor:
                 if t.requires_grad:
                     t._accumulate(g)
 
-        return Tensor._from_op(data, tensors, backward)
+        return Tensor._from_op(data, tensors, backward, K.stack, axis=axis)
 
     @staticmethod
     def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
         a, b = Tensor.ensure(a), Tensor.ensure(b)
         cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-        data = np.where(cond, a.data, b.data)
+        data = K.where(cond, a.data, b.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -684,9 +702,19 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(_unbroadcast(np.where(cond, 0.0, grad), b.data.shape))
 
-        return Tensor._from_op(data, (a, b), backward)
+        return Tensor._from_op(data, (a, b), backward, K.where, operands=(cond, a, b))
 
     # -- factory methods -------------------------------------------------------
+
+    @staticmethod
+    def row_zeros(like: "Tensor", *tail: int) -> "Tensor":
+        """Constant zeros of shape ``(len(like), *tail)`` — per-row initial state.
+
+        Unlike ``Tensor(np.zeros((n, ...)))`` this stays traceable: an
+        inference plan sizes the zeros from the batch it serves.
+        """
+        data = K.row_zeros(like.data, tail)
+        return Tensor._from_op(data, (), None, K.row_zeros, operands=(like,), tail=tail)
 
     @staticmethod
     def zeros(*shape, requires_grad: bool = False) -> "Tensor":

@@ -87,13 +87,17 @@ class MatrixRingBuffer:
         idx = np.asarray(idx, dtype=np.int64)
         if window < 1 or np.any(self._size[idx] < window):
             raise ValueError(f"every requested stream needs >= {window} records")
-        starts = (self._head[idx] - window) % self.capacity
-        cols = (starts[:, None] + np.arange(window)) % self.capacity
-        gathered = self._data[idx[:, None], cols]
-        if out is None:
-            return gathered
-        out[...] = gathered
-        return out
+        # one gather of whole records from the (streams * capacity, F) rows:
+        # no intermediate fancy-index array, and straight into ``out``
+        # (mode="wrap" skips the buffered bounds check of mode="raise":
+        # ``_size[idx]`` above already rejected any stream outside the
+        # fleet, and wrapping keeps numpy's meaning of a negative stream)
+        flat = (idx * self.capacity)[:, None] + (
+            self._head[idx][:, None] - window + np.arange(window)
+        ) % self.capacity
+        return np.take(
+            self._data.reshape(-1, self.features), flat, axis=0, out=out, mode="wrap"
+        )
 
     def view(self, stream: int) -> np.ndarray:
         """Chronologically ordered contents of one stream, oldest first (copy)."""

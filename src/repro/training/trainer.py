@@ -103,27 +103,6 @@ class Trainer:
         self.model.train()
         return total / max(count, 1)
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Forward pass over a dataset (eval mode, no graph).
-
-        The output array is preallocated after the first batch reveals the
-        head shape, and each batch is written into its slice in place —
-        no Python list of batch outputs, no terminal ``np.concatenate``.
-        """
-        self.model.eval()
-        out_arr: np.ndarray | None = None
-        with no_grad():
-            for start in range(0, len(x), batch_size):
-                stop = min(start + batch_size, len(x))
-                out = self.model(Tensor(x[start:stop])).data
-                if out_arr is None:
-                    out_arr = np.empty((len(x),) + out.shape[1:], dtype=out.dtype)
-                out_arr[start:stop] = out
-        self.model.train()
-        if out_arr is None:
-            return np.empty((0,))
-        return out_arr
-
     # -- training ----------------------------------------------------------------
 
     def fit(

@@ -95,32 +95,25 @@ class TestDtypePolicy:
         np.testing.assert_allclose(got, ref, atol=1e-5)
 
 
-class TestTrainerPredictPreallocation:
-    def test_predict_matches_batched_concat(self):
-        from repro.nn import MSELoss
-        from repro.nn.optim import SGD
-        from repro.training.trainer import Trainer
+class TestInferencePlanBatches:
+    def test_plan_matches_eager_on_every_batch_size(self):
+        from repro.nn import compile_inference
+        from repro.nn.tensor import no_grad
 
         rng = np.random.default_rng(2)
         model = Linear(5, 2, rng=rng)
-        trainer = Trainer(model, SGD(model.parameters(), lr=0.1), MSELoss(), rng=rng)
+        plan = compile_inference(model, max_batch=23, row_shape=(5,))
         x = rng.standard_normal((23, 5))
-        got = trainer.predict(x, batch_size=7)
-        from repro.nn.tensor import no_grad
+        for rows in (23, 7, 1):
+            with no_grad():
+                ref = model(Tensor(x[:rows])).data
+            got = plan(x[:rows])
+            np.testing.assert_array_equal(got, ref)
+            assert got.shape == (rows, 2)
 
-        model.eval()
-        with no_grad():
-            ref = model(Tensor(x)).data
-        np.testing.assert_allclose(got, ref, atol=1e-12)
-        assert got.shape == (23, 2)
+    def test_plan_empty_input(self):
+        from repro.nn import compile_inference
 
-    def test_predict_empty_input(self):
-        from repro.nn import MSELoss
-        from repro.nn.optim import SGD
-        from repro.training.trainer import Trainer
-
-        rng = np.random.default_rng(3)
-        model = Linear(4, 1, rng=rng)
-        trainer = Trainer(model, SGD(model.parameters(), lr=0.1), MSELoss(), rng=rng)
-        out = trainer.predict(np.empty((0, 4)))
-        assert out.shape[0] == 0
+        model = Linear(4, 1, rng=np.random.default_rng(3))
+        out = compile_inference(model, max_batch=8, row_shape=(4,))(np.empty((0, 4)))
+        assert out.shape == (0, 1)

@@ -308,6 +308,35 @@ class TestNeverBlocks:
         finally:
             fleet.close()
 
+    def test_thread_refit_of_a_neural_model_trains_while_it_serves(self):
+        """Serving never switches autograd off under the training thread.
+
+        ``no_grad`` is process-wide; a serving path that entered it on every
+        tick made the refit thread's tensors gradient-free mid-batch, and its
+        ``backward`` raised (before inference plans, two of the
+        first five fits failed here). The compiled plan serves without
+        touching the switch.
+        """
+        rng = np.random.default_rng(0)
+        ticks = 0.5 + 0.01 * rng.standard_normal((3000, 32, 2)).cumsum(axis=0)
+        fleet = FleetPredictor(
+            32, "mlp", forecaster_kwargs={"epochs": 2, "seed": 0}, features=2,
+            detector=PageHinkley(threshold=1e9), refit_mode="async",
+            refit_backend="thread", refit_interval=10, window=8,
+            buffer_capacity=60, min_fit_size=20,
+        )
+        try:
+            # serve until five background fits have landed (how many ticks
+            # that takes depends on the machine's load)
+            for row in ticks:
+                fleet.process_tick(row)
+                if fleet.stats.n_refits + fleet.stats.n_refit_failures >= 5:
+                    break
+            assert fleet.stats.n_refit_failures == 0
+            assert fleet.stats.n_refits >= 5
+        finally:
+            fleet.close()
+
 
 class TestCheckpointMidFlight:
     def test_restore_with_inflight_refit_replays_identically(self, tmp_path):

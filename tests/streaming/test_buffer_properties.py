@@ -97,3 +97,38 @@ class TestMatrixRingBufferProperties:
                 np.testing.assert_array_equal(
                     fleet.last_windows(np.array([i]), w)[0], expected[-w:]
                 )
+
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 10),
+        st.integers(1, 3),
+        st.lists(st.lists(st.booleans(), min_size=1, max_size=6), min_size=1, max_size=40),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_out_gather_of_many_streams_matches_deques(
+        self, streams, capacity, features, masks, data
+    ):
+        """``last_windows(idx, w, out=...)`` into a fleet-style batch == deque tails."""
+        fleet = MatrixRingBuffer(streams, capacity, features)
+        models = [deque(maxlen=capacity) for _ in range(streams)]
+        rng = np.random.default_rng(1)
+        for tick_mask in masks:
+            mask = np.resize(np.asarray(tick_mask, bool), streams)
+            records = rng.normal(size=(streams, features))
+            fleet.append_tick(records, mask=mask)
+            for i in np.flatnonzero(mask):
+                models[i].append(records[i])
+        sizes = np.array([len(m) for m in models])
+        if sizes.max() == 0:
+            return
+        w = data.draw(st.integers(1, int(sizes.max())))
+        idx = np.flatnonzero(sizes >= w)
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        batch = np.full((streams, w, features), np.nan, dtype=dtype)  # the fleet's buffer
+        result = fleet.last_windows(idx, w, out=batch[: len(idx)])
+        assert result.base is batch or result is batch
+        for row, i in enumerate(idx):
+            expected = np.array(models[i])[-w:].astype(dtype)
+            np.testing.assert_array_equal(batch[row], expected)
+        assert np.isnan(batch[len(idx) :]).all()  # rows past the gather untouched

@@ -47,12 +47,11 @@ class TestTrainer:
         manual = MSELoss()(trainer.model(Tensor(xt)), Tensor(yt)).item()
         assert loss == pytest.approx(manual, rel=1e-9)
 
-    def test_predict_shape_and_eval_mode(self, rng, problem):
-        xt, yt, xv, _ = problem
+    def test_fit_leaves_model_in_eval_mode(self, rng, problem):
+        xt, yt, _, _ = problem
         trainer = make_trainer(rng)
         trainer.fit(xt, yt, epochs=2)
-        pred = trainer.predict(xv)
-        assert pred.shape == (len(xv), 1)
+        assert not any(m.training for m in trainer.model.modules())
 
     def test_grad_clipping_runs(self, rng, problem):
         xt, yt, _, _ = problem
